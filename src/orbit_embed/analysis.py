@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import act, as_signal, make_cyclic_action, orbit, quotient_distance
-from .embed import (ZERO_NORM_THRESHOLD, Pipeline, embed, eval_gradient,
+from .embed import (Pipeline, embed, embed_monomial_domain, eval_gradient,
                     eval_invariants, lipschitz_bound, measure)
 from .errors import HypothesisError, ParameterError
 from .invariants import PairMonomial, SeparatingSet
@@ -38,9 +38,6 @@ LAMBDA_TOL = 1e-8
 # Pairs closer than this in the quotient metric are excluded from ratio
 # statistics (prevents 0/0 on same-orbit draws).
 RATIO_EXCLUSION = 1e-12
-
-_MAX_CASES = 5
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -75,14 +72,6 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 def _sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z / np.linalg.norm(z)
-
-
-def _embed_monomial_domain(pipeline: Pipeline, v: np.ndarray) -> np.ndarray:
-    # Phi evaluated directly in the diagonal (monomial) domain.
-    nrm = float(np.linalg.norm(v))
-    if nrm < ZERO_NORM_THRESHOLD:
-        return np.zeros(pipeline.target_dim, dtype=np.complex128)
-    return nrm * (pipeline.reducer.entries @ eval_invariants(pipeline.sset, v / nrm))
 
 
 def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> VerificationReport:
@@ -391,7 +380,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
 
     x = np.zeros(diag.n, dtype=np.complex128)
     x[support] = 1.0
-    phi_x = _embed_monomial_domain(pipeline, x)
+    phi_x = embed_monomial_domain(pipeline, x)
 
     dists, gaps, ratios = [], [], []
     for e in eps:
@@ -401,7 +390,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
         d = quotient_distance(diag, xe, x)
         if d <= 0.0:
             raise HypothesisError(f"witness path hit the same orbit at eps={e}")
-        gap = float(np.linalg.norm(_embed_monomial_domain(pipeline, xe) - phi_x))
+        gap = float(np.linalg.norm(embed_monomial_domain(pipeline, xe) - phi_x))
         dists.append(d)
         gaps.append(gap)
         ratios.append(gap / d)

@@ -13,9 +13,11 @@ import csv
 import json
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,17 +27,62 @@ from .embed import Pipeline, embed, make_pipeline, operator_norm
 from .errors import DataError, OrbitEmbedError
 from .invariants import separating_set_to_json
 
-SUITE_ORDER = ("invariance", "separation", "lipschitz", "nonparallel",
-               "sup_norm", "sweep", "prime")
 
-DEFAULT_SUITE_PARAMS = {
-    "invariance": {"samples": 1000},
-    "separation": {"samples": 1000, "delta": 0.1},
-    "lipschitz": {"samples": 10000},
-    "nonparallel": {"samples": 1000, "delta": 0.1},
-    "sup_norm": {"samples": 10000},
-    "sweep": {"epsilons": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], "witness": None},
-    "prime": {"p": 5, "samples": 200},
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Suite parameter name -> (type check, diagnostic when it fails).
+PARAM_CHECKS = {
+    "samples": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
+    "p": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
+    "delta": (_is_real, "must be a real number"),
+    "epsilons": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_real, v)),
+                 "must be a nonempty list of real numbers"),
+    "witness": (lambda v: v is None or (isinstance(v, list) and len(v) == 2
+                                        and all(map(_is_int, v))),
+                "must be null or a list of two integers"),
+}
+
+
+class Suite(NamedTuple):
+    defaults: dict
+    # run(pipeline, params, seed); looks up analysis.<fn> at call time, so a
+    # rebound module attribute (e.g. a traced wrapper) is the one called
+    run: Callable
+
+
+# Every suite, in the order `verify` runs them and config keys are checked.
+SUITES = {
+    "invariance": Suite(
+        {"samples": 1000},
+        lambda pipeline, p, seed: analysis.check_invariance(pipeline, p["samples"], seed)),
+    "separation": Suite(
+        {"samples": 1000, "delta": 0.1},
+        lambda pipeline, p, seed: analysis.separation_margin(
+            pipeline, p["samples"], p["delta"], seed)),
+    "lipschitz": Suite(
+        {"samples": 10000},
+        lambda pipeline, p, seed: analysis.empirical_lipschitz(pipeline, p["samples"], seed)),
+    "nonparallel": Suite(
+        {"samples": 1000, "delta": 0.1},
+        lambda pipeline, p, seed: analysis.nonparallel_falsification(
+            pipeline, p["samples"], p["delta"], seed)),
+    "sup_norm": Suite(
+        {"samples": 10000},
+        lambda pipeline, p, seed: analysis.sup_norm_check(pipeline.sset, p["samples"], seed)),
+    "sweep": Suite(
+        {"epsilons": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], "witness": None},
+        lambda pipeline, p, seed: analysis.lower_lipschitz_sweep(
+            pipeline, p["epsilons"],
+            witness=None if p["witness"] is None else tuple(p["witness"]))),
+    "prime": Suite(
+        {"p": 5, "samples": 200},
+        lambda pipeline, p, seed: analysis.prime_case_report(p["p"], p["samples"], seed)),
 }
 
 # Suites run by `verify` when the config does not select any.
@@ -124,17 +171,19 @@ def config_from_dict(doc: dict) -> RunConfig:
     _expect(isinstance(raw_suites, dict), "suites", "must be an object")
     suites = {}
     for name in raw_suites:
-        _expect(name in SUITE_ORDER, f"suites.{name}",
-                f"unknown suite (valid: {list(SUITE_ORDER)})")
-    for name in SUITE_ORDER:
+        _expect(name in SUITES, f"suites.{name}",
+                f"unknown suite (valid: {list(SUITES)})")
+    for name, suite in SUITES.items():
         if name not in raw_suites:
             continue
         params = raw_suites[name]
         _expect(isinstance(params, dict), f"suites.{name}", "must be an object")
-        merged = dict(DEFAULT_SUITE_PARAMS[name])
+        merged = dict(suite.defaults)
         for key, value in params.items():
             _expect(key in merged, f"suites.{name}.{key}",
                     f"unknown parameter (valid: {sorted(merged)})")
+            check, message = PARAM_CHECKS[key]
+            _expect(check(value), f"suites.{name}.{key}", message)
             merged[key] = value
         suites[name] = merged
 
@@ -280,40 +329,15 @@ def _write_json(path: Path, doc) -> None:
 
 # --- subcommands ----------------------------------------------------------------
 
-def _run_suite(name: str, config: RunConfig, pipeline: Pipeline):
-    params = config.suites[name]
-    seed = config.seed
-    if name == "invariance":
-        return analysis.check_invariance(pipeline, params["samples"], seed)
-    if name == "separation":
-        return analysis.separation_margin(pipeline, params["samples"],
-                                          params["delta"], seed)
-    if name == "lipschitz":
-        return analysis.empirical_lipschitz(pipeline, params["samples"], seed)
-    if name == "nonparallel":
-        return analysis.nonparallel_falsification(pipeline, params["samples"],
-                                                  params["delta"], seed)
-    if name == "sup_norm":
-        return analysis.sup_norm_check(pipeline.sset, params["samples"], seed)
-    if name == "sweep":
-        witness = params.get("witness")
-        return analysis.lower_lipschitz_sweep(
-            pipeline, params["epsilons"],
-            witness=None if witness is None else tuple(witness))
-    if name == "prime":
-        return analysis.prime_case_report(params["p"], params["samples"], seed)
-    raise ConfigError(f"config field 'suites.{name}': unknown suite")
-
-
 def cmd_verify(config: RunConfig) -> int:
     pipeline = build_pipeline(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     results = {}
-    for name in SUITE_ORDER:
+    for name, suite in SUITES.items():
         if name not in config.suites:
             continue
-        result = _run_suite(name, config, pipeline)
+        result = suite.run(pipeline, config.suites[name], config.seed)
         doc = result.to_json_dict()
         _write_json(out / f"{name}.json", doc)
         results[name] = bool(doc["pass"])
@@ -367,11 +391,8 @@ def cmd_embed(config: RunConfig, signals_path: str | None, fmt: str | None) -> i
 
 def cmd_sweep(config: RunConfig) -> int:
     pipeline = build_pipeline(config)
-    params = config.suites.get("sweep", DEFAULT_SUITE_PARAMS["sweep"])
-    witness = params.get("witness")
-    result = analysis.lower_lipschitz_sweep(
-        pipeline, params["epsilons"],
-        witness=None if witness is None else tuple(witness))
+    sweep = SUITES["sweep"]
+    result = sweep.run(pipeline, config.suites.get("sweep", sweep.defaults), config.seed)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "sweep.json", result.to_json_dict())
@@ -387,7 +408,7 @@ def cmd_sweep(config: RunConfig) -> int:
 def golden_fixture_values(seed: int = 7) -> dict:
     """Recompute every pinned value from independent oracles.
 
-    Operator norms come from a dense SVD (checked against power iteration),
+    Operator norms come from a dense SVD (checked against operator_norm),
     gradients from central finite differences, orbit facts from exhaustive
     enumeration. Separation margins are recorded per fixture for regression
     comparison; no a-priori value is asserted for them.
@@ -397,20 +418,18 @@ def golden_fixture_values(seed: int = 7) -> dict:
         config = config_from_dict({**spec, "seed": seed})
         pipeline = build_pipeline(config)
         svd_norm = oracles.svd_operator_norm(pipeline.reducer.entries)
-        power_norm = operator_norm(pipeline.reducer)
+        norm = operator_norm(pipeline.reducer)
         margin_report = analysis.separation_margin(pipeline, 1000, 0.1, seed)
         grad_err = 0.0
         for i in range(20):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            z = rng.standard_normal(pipeline.diag.n) + 1j * rng.standard_normal(pipeline.diag.n)
-            z /= np.linalg.norm(z)
+            z = analysis._sphere_point(analysis._rng_for(seed, i), pipeline.diag.n)
             grad_err = max(grad_err, oracles.gradient_discrepancy(pipeline.sset, z))
         doc[name] = {
             "target_dim": pipeline.target_dim,
             "monomial_count": pipeline.sset.size,
-            "operator_norm_power_iteration": power_norm,
+            "operator_norm": norm,
             "operator_norm_svd_oracle": svd_norm,
-            "operator_norm_disagreement": abs(power_norm - svd_norm),
+            "operator_norm_disagreement": abs(norm - svd_norm),
             "separation_margin": margin_report.statistic,
             "same_orbit_leakage": margin_report.extra["same_orbit_leakage"],
             "gradient_fd_max_error": grad_err,
@@ -476,9 +495,6 @@ def main(argv=None) -> int:
         if args.command == "fixtures":
             return cmd_fixtures(config)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -28,7 +28,8 @@ __all__ = [
     "Reducer", "Pipeline", "LipschitzBound",
     "make_reducer", "reducer_to_json", "reducer_from_json",
     "eval_invariants", "eval_gradient", "operator_norm",
-    "make_pipeline", "auto_target_dim", "measure", "embed", "lipschitz_bound",
+    "make_pipeline", "auto_target_dim", "measure", "embed", "embed_monomial_domain",
+    "lipschitz_bound",
     "ZERO_NORM_THRESHOLD",
 ]
 
@@ -93,13 +94,13 @@ def reducer_from_json(doc: dict) -> Reducer:
     return make_reducer(doc["N"], doc["k"], doc["seed"], doc["kind"])
 
 
-def operator_norm(reducer, tol: float = 1e-10, max_iter: int = 20000) -> float:
-    """Largest singular value, by power iteration on l* l.
+def operator_norm(reducer) -> float:
+    """Largest singular value, from the top eigenvalue of the smaller Gram matrix.
 
-    Iterates v <- l*(l v) from a fixed pseudorandom start until the Rayleigh
-    estimate of the top singular value is stable to relative tolerance
-    ``tol`` on two consecutive steps. The result is certified against the
-    bracketing bounds frob/sqrt(min(k, N)) <= sigma_max <= frob.
+    For a k x N matrix l the Gram matrix is l l* when k <= N (every reducer)
+    and l* l otherwise; its largest eigenvalue is sigma_max squared. The
+    result is certified against the bracketing bounds
+    frob/sqrt(min(k, N)) <= sigma_max <= frob.
     """
     a = reducer.entries if isinstance(reducer, Reducer) else np.asarray(reducer, dtype=np.complex128)
     if a.ndim != 2:
@@ -107,36 +108,13 @@ def operator_norm(reducer, tol: float = 1e-10, max_iter: int = 20000) -> float:
     frob = float(np.linalg.norm(a))
     if frob == 0.0:
         return 0.0
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
-    sigma_prev = 0.0
-    stable = 0
-    for _ in range(max_iter):
-        w = a @ v
-        sigma = float(np.linalg.norm(w))
-        v = a.conj().T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            # start vector was entirely in the nullspace; restart deflected
-            v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        v /= nv
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1e-300):
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-        sigma_prev = sigma
-    else:
-        raise ArithmeticError("power iteration did not converge")
+    gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    sigma = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
     lo = frob / math.sqrt(min(a.shape)) * (1 - 1e-9)
     hi = frob * (1 + 1e-9)
     if not lo <= sigma <= hi:
         raise ArithmeticError(
-            f"power iteration result {sigma} outside certified bracket [{lo}, {hi}]")
+            f"operator norm {sigma} outside certified bracket [{lo}, {hi}]")
     return sigma
 
 
@@ -250,6 +228,17 @@ def measure(pipeline: Pipeline, x) -> np.ndarray:
     return pipeline.reducer.entries @ eval_invariants(pipeline.sset, u)
 
 
+def embed_monomial_domain(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
+    """Phi for a signal u already in the diagonal (monomial) domain.
+
+    Computes ||u|| H(u/||u||), and exactly zero below ZERO_NORM_THRESHOLD.
+    """
+    nrm = float(np.linalg.norm(u))
+    if nrm < ZERO_NORM_THRESHOLD:
+        return np.zeros(pipeline.target_dim, dtype=np.complex128)
+    return nrm * (pipeline.reducer.entries @ eval_invariants(pipeline.sset, u / nrm))
+
+
 def embed(pipeline: Pipeline, x) -> np.ndarray:
     """The stable invariant embedding Phi(x) = ||x|| H(x/||x||), Phi(0) = 0.
 
@@ -257,11 +246,7 @@ def embed(pipeline: Pipeline, x) -> np.ndarray:
     powers of unit-modulus entries cannot overflow; large inputs only scale
     the result linearly through the ||x|| factor.
     """
-    u = _to_monomial_domain(pipeline, x)
-    nrm = float(np.linalg.norm(u))
-    if nrm < ZERO_NORM_THRESHOLD:
-        return np.zeros(pipeline.target_dim, dtype=np.complex128)
-    return nrm * (pipeline.reducer.entries @ eval_invariants(pipeline.sset, u / nrm))
+    return embed_monomial_domain(pipeline, _to_monomial_domain(pipeline, x))
 
 
 @dataclass(frozen=True)

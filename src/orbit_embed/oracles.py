@@ -1,7 +1,7 @@
 """Independent oracle computations used by golden fixtures and tests.
 
 These deliberately avoid the implementation paths they check: operator norms
-come from a dense SVD rather than power iteration, gradients from central
+come from a dense SVD rather than a Gram-matrix eigenvalue, gradients from central
 finite differences rather than the analytic formulas, and orbit facts from
 plain per-element enumeration.
 """

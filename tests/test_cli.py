@@ -59,6 +59,20 @@ class TestRunConfig:
         ({"action": {"m": 2, "weights": [1]}, "suites": {"lipschitz": {"smples": 1}}},
          "suites.lipschitz.smples"),
         ({"action": {"m": 2, "weights": [1]}, "typo": 1}, "typo"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"witness": 3}}},
+         "suites.sweep.witness"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"invariance": {"samples": "10"}}},
+         "suites.invariance.samples"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"separation": {"delta": "x"}}},
+         "suites.separation.delta"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"prime": {"samples": True}}},
+         "suites.prime.samples"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"prime": {"p": 0}}},
+         "suites.prime.p"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": []}}},
+         "suites.sweep.epsilons"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"witness": [1, 2.0]}}},
+         "suites.sweep.witness"),
     ])
     def test_diagnostics_name_the_field(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
@@ -176,6 +190,13 @@ class TestVerifyCommand:
         main(["verify", "--config", config, "--seed", "8"])
         assert (out_dir / "invariance.json").read_bytes() != first
 
+    def test_malformed_suite_parameter_exits_2(self, tmp_path, capsys):
+        doc = dict(Z12_CONFIG, suites={"invariance": {"samples": "10"}},
+                   out=str(tmp_path / "rep"))
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+        assert "suites.invariance.samples" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -230,6 +251,13 @@ class TestSweepCommand:
         assert len(lines) == 6
         doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert doc["pass"] is True and 0.8 <= doc["slope"] <= 1.2
+
+    def test_translation_without_sweep_entry_uses_defaults(self, tmp_path, capsys):
+        doc = {"action": {"form": "translation", "n": 8}, "out": str(tmp_path / "out")}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        result = json.loads((tmp_path / "out" / "sweep.json").read_text())
+        assert result["epsilons"] == [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        assert result["pass"] is True
 
 
 class TestFixturesCommand:
