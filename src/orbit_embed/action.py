@@ -67,6 +67,17 @@ def as_signal(x, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_signals(x, n: int | None = None) -> np.ndarray:
+    """Coerce to one complex128 signal ``(n,)`` or a batch of signals ``(S, n)``."""
+    arr = np.asarray(x, dtype=np.complex128)
+    if arr.ndim not in (1, 2):
+        raise DimensionError(
+            f"signals must be an (n,) vector or an (S, n) batch, got shape {arr.shape}")
+    if n is not None and arr.shape[-1] != n:
+        raise DimensionError(f"signal has length {arr.shape[-1]}, expected {n}")
+    return arr
+
+
 @lru_cache(maxsize=64)
 def _phase_table(action: CyclicAction) -> np.ndarray:
     # row k = elementwise factors of T^k for the diagonal form, shape (m, n)
@@ -132,16 +143,17 @@ def dft(x) -> np.ndarray:
 
     ``dft(x)[j] = n**-0.5 * sum_l x[l] * exp(+2*pi*i*j*l/n)``, so translating
     a signal multiplies coefficient j by ``exp(2*pi*i*j*k/n)`` -- the
-    modulation weights are ``e_j = +j``.
+    modulation weights are ``e_j = +j``. A batch ``(S, n)`` is transformed
+    row by row.
     """
-    x = as_signal(x)
-    return np.fft.ifft(x) * math.sqrt(x.shape[0])
+    x = as_signals(x)
+    return np.fft.ifft(x, axis=-1) * math.sqrt(x.shape[-1])
 
 
 def idft(xhat) -> np.ndarray:
-    """Inverse of :func:`dft` (also unitary)."""
-    xhat = as_signal(xhat)
-    return np.fft.fft(xhat) / math.sqrt(xhat.shape[0])
+    """Inverse of :func:`dft` (also unitary), row by row on a batch."""
+    xhat = as_signals(xhat)
+    return np.fft.fft(xhat, axis=-1) / math.sqrt(xhat.shape[-1])
 
 
 def to_fourier_domain(action: CyclicAction) -> CyclicAction:

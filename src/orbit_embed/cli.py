@@ -231,12 +231,16 @@ def build_pipeline(config: RunConfig) -> Pipeline:
 
 # --- signal I/O ----------------------------------------------------------------
 
-def load_signals(path: str, fmt: str = "json") -> list[np.ndarray]:
+def load_signals(path: str, fmt: str = "json") -> np.ndarray | list[np.ndarray]:
     """Read complex signals from a JSON or CSV file.
 
-    JSON: an array of signals, each an array of [re, im] pairs. CSV: header
-    ``signal_id,index,re,im`` with rows grouped by signal id; each signal's
-    indices must cover 0..len-1. Parsing is locale-independent.
+    JSON: an array of signals, each an array of [re, im] number pairs. CSV:
+    header ``signal_id,index,re,im`` with rows grouped by signal id; each
+    signal's indices must cover 0..len-1. Parsing is locale-independent.
+
+    Signals of one common length n come back as one complex ``(S, n)``
+    array, signals of different lengths as a list of 1-d arrays, and a file
+    without signals as ``[]``.
     """
     if fmt not in ("json", "csv"):
         raise DataError(f"unknown signal format {fmt!r}")
@@ -248,29 +252,52 @@ def load_signals(path: str, fmt: str = "json") -> list[np.ndarray]:
         signals = _signals_from_json(text, path)
     else:
         signals = _signals_from_csv(text, path)
-    if not signals:
+    if not len(signals):
         warnings.warn(f"signal file {path!r} contains no signals")
-    for idx, sig in enumerate(signals):
-        if not np.all(np.isfinite(sig.real)) or not np.all(np.isfinite(sig.imag)):
-            raise DataError(f"signal {idx} contains non-finite values")
+        return []
+    if isinstance(signals, list) and len({sig.shape[0] for sig in signals}) == 1:
+        signals = np.stack(signals)
+    if isinstance(signals, np.ndarray):
+        finite = np.isfinite(signals).all(axis=1)
+    else:
+        finite = [np.isfinite(sig).all() for sig in signals]
+    if not np.all(finite):
+        raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values")
     return signals
 
 
-def _signals_from_json(text: str, path: str) -> list[np.ndarray]:
+def _complex_pairs(pairs) -> np.ndarray:
+    # float [re, im] pairs along the last axis -> complex values, bit-exact
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _signals_from_json(text: str, path: str) -> np.ndarray | list[np.ndarray]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, list):
         raise DataError(f"{path}: top level must be an array of signals")
-    signals = []
-    for idx, row in enumerate(doc):
-        if not isinstance(row, list) or not all(
-                isinstance(pair, list) and len(pair) == 2 for pair in row):
-            raise DataError(f"{path}: signal {idx} must be an array of [re, im] pairs")
-        signals.append(np.array([complex(re, im) for re, im in row],
-                                dtype=np.complex128))
-    return signals
+    try:
+        pairs = np.array(doc)
+    except (ValueError, OverflowError):
+        pairs = None  # ragged or malformed: checked signal by signal below
+    if (pairs is not None and pairs.dtype.kind in "biuf" and pairs.ndim == 3
+            and pairs.shape[2] == 2):
+        return _complex_pairs(pairs)
+    return [_signal_from_json(row, idx, path) for idx, row in enumerate(doc)]
+
+
+def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
+    if not isinstance(row, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(v, (int, float)) for v in pair) for pair in row):
+        raise DataError(f"{path}: signal {idx} must be an array of [re, im] number pairs")
+    try:
+        pairs = np.array(row, dtype=np.float64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise DataError(f"{path}: signal {idx} has a number too large for a float") from exc
+    return _complex_pairs(pairs)
 
 
 def _signals_from_csv(text: str, path: str) -> list[np.ndarray]:
@@ -308,11 +335,12 @@ def _signals_from_csv(text: str, path: str) -> list[np.ndarray]:
 
 
 def save_signals(path: str, signals, fmt: str = "json") -> None:
-    """Write signals in a form :func:`load_signals` reads back bit-exactly."""
+    """Write signals in a form :func:`load_signals` reads back bit-exactly.
+
+    ``signals`` is an ``(S, n)`` array or a sequence of 1-d arrays.
+    """
     if fmt == "json":
-        doc = [[[float(v.real), float(v.imag)] for v in np.asarray(sig)]
-               for sig in signals]
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(path).write_text(_signals_to_json(signals))
     elif fmt == "csv":
         lines = ["signal_id,index,re,im"]
         for sid, sig in enumerate(signals):
@@ -321,6 +349,31 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
         Path(path).write_text("\n".join(lines) + "\n")
     else:
         raise DataError(f"unknown signal format {fmt!r}")
+
+
+def _json_signal_template(width: int) -> str:
+    # one signal of `width` [re, im] pairs as json.dumps(indent=2) lays it out
+    # inside the top-level array, with %s for each float
+    if width == 0:
+        return "  []"
+    pair = "    [\n      %s,\n      %s\n    ]"
+    return "  [\n" + ",\n".join([pair] * width) + "\n  ]"
+
+
+def _signals_to_json(signals) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for doc = [[[re, im], ...], ...].
+
+    json.dumps runs its C encoder only without indent, so the floats are
+    formatted in one such call (same reprs, NaN and Infinity spellings) and
+    laid out by a template built once per signal width.
+    """
+    rows = [np.asarray(sig, dtype=np.complex128) for sig in signals]
+    if not rows:
+        return "[]\n"
+    reprs = json.dumps(np.concatenate(rows).view(np.float64).tolist())[1:-1]
+    layout = {w: _json_signal_template(w) for w in {len(row) for row in rows}}
+    template = "[\n" + ",\n".join(layout[len(row)] for row in rows) + "\n]\n"
+    return template % tuple(reprs.split(", ") if reprs else ())
 
 
 def _write_json(path: Path, doc) -> None:
@@ -375,12 +428,17 @@ def cmd_embed(config: RunConfig, signals_path: str | None, fmt: str | None) -> i
     fmt = fmt or "json"
     signals = load_signals(signals_path, fmt)
     pipeline = build_pipeline(config)
-    embedded = []
-    for idx, sig in enumerate(signals):
-        if sig.shape[0] != pipeline.action.n:
-            raise DataError(f"signal {idx} has length {sig.shape[0]}, expected "
-                            f"{pipeline.action.n}")
-        embedded.append(embed(pipeline, sig))
+    n = pipeline.action.n
+    # an (S, n') array has one length to check, a ragged list one per signal
+    for idx, sig in enumerate(signals[:1] if isinstance(signals, np.ndarray) else signals):
+        if sig.shape[0] != n:
+            raise DataError(f"signal {idx} has length {sig.shape[0]}, expected {n}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        embedded = embed(pipeline, np.reshape(signals, (-1, n)))
+    finite = np.isfinite(embedded).all(axis=1)
+    if not finite.all():
+        raise DataError(f"signal {int(np.argmin(finite))} has a non-finite embedding "
+                        "(its norm overflows); nothing was written")
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / f"embeddings.{fmt}"

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .action import TRANSLATION, CyclicAction, as_signal, dft, to_fourier_domain
+from .action import (TRANSLATION, CyclicAction, as_signal, as_signals, dft,
+                     to_fourier_domain)
 from .errors import DataError, DimensionError, ParameterError
 from .invariants import SeparatingSet, is_homogeneous, separating_set
 
@@ -120,26 +120,17 @@ def operator_norm(reducer) -> float:
 
 # --- evaluation of the invariant map and its gradient -------------------------
 
-@lru_cache(maxsize=64)
-def _index_arrays(sset: SeparatingSet):
-    # 0-based coordinate indices and exponents, in canonical monomial order
-    si = np.array([s.i - 1 for s in sset.singles], dtype=np.intp)
-    se = np.array([s.exp for s in sset.singles], dtype=np.int64)
-    pj = np.array([p.j - 1 for p in sset.pairs], dtype=np.intp)
-    pk = np.array([p.k - 1 for p in sset.pairs], dtype=np.intp)
-    pa = np.array([p.a for p in sset.pairs], dtype=np.int64)
-    pb = np.array([p.b for p in sset.pairs], dtype=np.int64)
-    return si, se, pj, pk, pa, pb
-
-
 def eval_invariants(sset: SeparatingSet, x) -> np.ndarray:
-    """Evaluate all separating monomials at x, in canonical order."""
-    x = as_signal(x, sset.n)
-    si, se, pj, pk, pa, pb = _index_arrays(sset)
-    vals = np.empty(sset.size, dtype=np.complex128)
-    vals[: sset.n] = x[si] ** se
-    vals[sset.n:] = x[pj] ** pa * x[pk] ** pb
-    return vals
+    """Evaluate all separating monomials at x, in canonical order.
+
+    ``x`` is one signal ``(n,)`` or a batch ``(S, n)``; the values are
+    ``(N,)`` or ``(S, N)``, each row bit-identical to evaluating it alone.
+    """
+    x = as_signals(x, sset.n)
+    si, se, pj, pk, pa, pb = sset.index_arrays
+    return np.concatenate((x.take(si, axis=-1) ** se,
+                           x.take(pj, axis=-1) ** pa * x.take(pk, axis=-1) ** pb),
+                          axis=-1)
 
 
 def eval_gradient(sset: SeparatingSet, x) -> np.ndarray:
@@ -149,7 +140,7 @@ def eval_gradient(sset: SeparatingSet, x) -> np.ndarray:
     a zero partial (the b = 0 degenerate pairs have no x_k dependence).
     """
     x = as_signal(x, sset.n)
-    si, se, pj, pk, pa, pb = _index_arrays(sset)
+    si, se, pj, pk, pa, pb = sset.index_arrays
     jac = np.zeros((sset.size, sset.n), dtype=np.complex128)
     rows_s = np.arange(sset.n)
     jac[rows_s, si] = se * x[si] ** (se - 1)
@@ -214,37 +205,58 @@ def make_pipeline(action: CyclicAction, seed: int = 0,
 
 
 def _to_monomial_domain(pipeline: Pipeline, x) -> np.ndarray:
-    x = as_signal(x, pipeline.action.n)
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    x = as_signals(x, pipeline.action.n)
+    if not np.isfinite(x).all():
         raise DataError("signal contains non-finite entries")
     if pipeline.action.form == TRANSLATION:
         return dft(x)
     return x
 
 
+def _reduce(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
+    # H(u) = (l o F)(u), the one reducer product for a signal or a batch
+    return eval_invariants(pipeline.sset, u) @ pipeline.reducer.entries.T
+
+
 def measure(pipeline: Pipeline, x) -> np.ndarray:
-    """The raw reduced measurement H(x) = (l o F)(x), without normalization."""
-    u = _to_monomial_domain(pipeline, x)
-    return pipeline.reducer.entries @ eval_invariants(pipeline.sset, u)
+    """The raw reduced measurement H(x) = (l o F)(x), without normalization.
+
+    ``x`` is one signal ``(n,)`` or a batch ``(S, n)``; the result is
+    ``(k,)`` or ``(S, k)``.
+    """
+    return _reduce(pipeline, _to_monomial_domain(pipeline, x))
 
 
 def embed_monomial_domain(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
-    """Phi for a signal u already in the diagonal (monomial) domain.
+    """Phi for a signal ``(n,)`` or batch ``(S, n)`` already in the diagonal
+    (monomial) domain.
 
     Computes ||u|| H(u/||u||), and exactly zero below ZERO_NORM_THRESHOLD.
     """
-    nrm = float(np.linalg.norm(u))
-    if nrm < ZERO_NORM_THRESHOLD:
-        return np.zeros(pipeline.target_dim, dtype=np.complex128)
-    return nrm * (pipeline.reducer.entries @ eval_invariants(pipeline.sset, u / nrm))
+    if u.ndim == 1:
+        # the scalar (BLAS dot) norm: one signal keeps its last bits
+        nrm = float(np.linalg.norm(u))
+        if nrm < ZERO_NORM_THRESHOLD:
+            return np.zeros(pipeline.target_dim, dtype=np.complex128)
+        zero = None
+    else:
+        nrm = np.linalg.norm(u, axis=-1, keepdims=True)
+        zero = nrm < ZERO_NORM_THRESHOLD
+        nrm[zero] = 1.0  # zero rows are evaluated at u itself, then zeroed
+    phi = nrm * _reduce(pipeline, u / nrm)
+    if zero is not None:
+        phi[zero[:, 0]] = 0.0
+    return phi
 
 
 def embed(pipeline: Pipeline, x) -> np.ndarray:
     """The stable invariant embedding Phi(x) = ||x|| H(x/||x||), Phi(0) = 0.
 
-    Verification sampling stays on or near the unit sphere, where monomial
-    powers of unit-modulus entries cannot overflow; large inputs only scale
-    the result linearly through the ||x|| factor.
+    ``x`` is one signal ``(n,)`` or a batch ``(S, n)``; the result is
+    ``(k,)`` or ``(S, k)``, each batch row within rounding of embedding that
+    signal alone. Verification sampling stays on or near the unit sphere,
+    where monomial powers of unit-modulus entries cannot overflow; large
+    inputs only scale the result linearly through the ||x|| factor.
     """
     return embed_monomial_domain(pipeline, _to_monomial_domain(pipeline, x))
 

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .action import DIAGONAL, CyclicAction, make_cyclic_action
 from .errors import DimensionError, FormError
@@ -104,6 +107,21 @@ class SeparatingSet:
     def orders(self) -> tuple[int, ...]:
         """Per-coordinate orders m_i (exponents of the power monomials)."""
         return tuple(s.exp for s in self.singles)
+
+    @cached_property
+    def index_arrays(self) -> tuple[np.ndarray, ...]:
+        """``(si, se, pj, pk, pa, pb)``: 0-based coordinate indices and
+        exponents of the power and pair monomials, in canonical order.
+
+        Stored on the instance: a cache keyed by the set would hash all
+        n(n+1)/2 monomials on every lookup.
+        """
+        return (np.array([s.i - 1 for s in self.singles], dtype=np.intp),
+                np.array([s.exp for s in self.singles], dtype=np.int64),
+                np.array([p.j - 1 for p in self.pairs], dtype=np.intp),
+                np.array([p.k - 1 for p in self.pairs], dtype=np.intp),
+                np.array([p.a for p in self.pairs], dtype=np.int64),
+                np.array([p.b for p in self.pairs], dtype=np.int64))
 
 
 def coordinate_order(m: int, e: int) -> int:

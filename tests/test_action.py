@@ -139,6 +139,14 @@ class TestDft:
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         np.testing.assert_allclose(idft(dft(x)), x, atol=1e-10)
 
+    def test_batch_rows_are_bit_identical(self, rng):
+        x = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+        for fn in (dft, idft):
+            batch = fn(x)
+            assert batch.shape == x.shape
+            for row, xi in zip(batch, x):
+                np.testing.assert_array_equal(row, fn(xi))
+
     def test_shift_theorem(self, rng):
         # translating in time modulates in frequency with weights e_j = j
         n, k = 8, 3

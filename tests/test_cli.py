@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orbit_embed.cli import (ConfigError, config_from_dict,
                              golden_fixture_values, load_signals, main,
@@ -132,6 +134,68 @@ class TestSignalIO:
         with pytest.raises(DataError, match="signal 0"):
             load_signals(str(path), "json")
 
+    @pytest.mark.parametrize("pair", ['["1", 0]', "[null, 0]", "[[1], [2]]", "[1, [2]]",
+                                      f"[{10**400}, 0]", "[1e400, 0]"],
+                             ids=["string", "null", "nested", "nested-im", "huge-int",
+                                  "huge-float"])
+    def test_non_numeric_json_entry_rejected(self, tmp_path, pair):
+        path = tmp_path / "sig.json"
+        path.write_text(f"[[[1, 0], [0, 0]], [[1, 0], {pair}]]")
+        with pytest.raises(DataError, match="signal 1"):
+            load_signals(str(path), "json")
+
+    def test_equal_lengths_load_as_one_array(self, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text("[[[1, 0], [0, -0.0]], [[0.5, 2], [3, 4]]]")
+        signals = load_signals(str(path), "json")
+        assert isinstance(signals, np.ndarray) and signals.shape == (2, 2)
+        np.testing.assert_array_equal(signals, [[1, 0], [0.5 + 2j, 3 + 4j]])
+        assert np.signbit(signals[0, 1].imag)
+
+    def test_ragged_json_loads_as_list(self, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text("[[[1, 0]], [[0, 1], [2, 0]], []]")
+        signals = load_signals(str(path), "json")
+        assert [sig.tolist() for sig in signals] == [[1], [1j, 2], []]
+
+
+def signal_lists():
+    """Ragged lists of complex signals, special floats included."""
+    parts = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+        [-0.0, 1e300, 5e-324, 2.2250738585072014e-308, float("nan"), float("-inf")])
+    value = st.builds(complex, parts, parts)
+    return st.lists(st.lists(value, max_size=4).map(
+        lambda sig: np.array(sig, dtype=np.complex128)), max_size=5)
+
+
+class TestSaveSignalsJson:
+    """save_signals writes exactly the bytes of the indent=2 json encoder."""
+
+    @staticmethod
+    def oracle(signals):
+        doc = [[[float(v.real), float(v.imag)] for v in np.asarray(sig)]
+               for sig in signals]
+        return json.dumps(doc, indent=2) + "\n"
+
+    @given(signals=signal_lists())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_indent_encoder(self, tmp_path, signals):
+        path = tmp_path / "out.json"
+        save_signals(str(path), signals, "json")
+        assert path.read_text() == self.oracle(signals)
+
+    @given(signals=signal_lists(), width=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_array_input_bytes_match(self, tmp_path, signals, width):
+        batch = np.zeros((len(signals), width), dtype=np.complex128)
+        for row, sig in zip(batch, signals):
+            row[:sig.size] = sig[:width]
+        path = tmp_path / "out.json"
+        save_signals(str(path), batch, "json")
+        assert path.read_text() == self.oracle(batch)
+
 
 class TestVerifyCommand:
     def test_exit_zero_and_reports(self, tmp_path, capsys):
@@ -236,6 +300,37 @@ class TestEmbedCommand:
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
         assert main(["embed", "--config", config, "--signals", str(sigs)]) == 3
         assert "signal 1" in capsys.readouterr().err
+
+    def test_empty_signal_file_writes_empty_array(self, tmp_path, capsys):
+        sigs = tmp_path / "sigs.json"
+        sigs.write_text("[]")
+        config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
+        with pytest.warns(UserWarning, match="no signals"):
+            assert main(["embed", "--config", config, "--signals", str(sigs)]) == 0
+        assert (tmp_path / "out" / "embeddings.json").read_text() == "[]\n"
+
+    @pytest.mark.parametrize("pair", ['["1", 0]', "[null, 0]", "[[1], [2]]",
+                                      f"[{10**400}, 0]"],
+                             ids=["string", "null", "nested", "huge-int"])
+    def test_non_numeric_entry_exits_3(self, tmp_path, capsys, pair):
+        sigs = tmp_path / "sigs.json"
+        sigs.write_text(f"[[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0]], [{pair}]]")
+        config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
+        assert main(["embed", "--config", config, "--signals", str(sigs)]) == 3
+        assert "signal 1" in capsys.readouterr().err
+
+    def test_overflowing_norm_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # ||x|| overflows to inf, so Phi(x) would be NaN
+        ok = [[0.5, 0]] + [[0, 0]] * 7
+        sigs = tmp_path / "sigs.json"
+        sigs.write_text(json.dumps([ok, [[1e200, 0]] + [[0, 0]] * 7, ok]))
+        doc = {"action": {"form": "translation", "n": 8},
+               "reducer": {"kind": "gaussian", "seed": 42},
+               "out": str(tmp_path / "out")}
+        config = write_config(tmp_path, doc)
+        assert main(["embed", "--config", config, "--signals", str(sigs)]) == 3
+        assert "signal 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_signals_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))

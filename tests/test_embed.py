@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          auto_target_dim, embed, eval_gradient,
@@ -193,6 +195,63 @@ class TestEmbed:
     def test_non_finite_rejected(self, z12_pipeline):
         with pytest.raises(DataError):
             embed(z12_pipeline, [np.nan, 0, 0, 0, 0])
+
+
+def batch_with_zero_rows(data, n):
+    """S in 0..40 signals with log-uniform norms; some rows forced to zero."""
+    S = data.draw(st.integers(0, 40), label="S")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+    x *= (10.0 ** rng.uniform(-3, 3, size=S))[:, None]
+    zero = data.draw(st.lists(st.integers(0, 39), max_size=5), label="zero rows")
+    x[[i for i in zero if i < S]] = 0
+    return x
+
+
+class TestBatch:
+    """(S, n) input gives the rows that one (n,) call per row gives."""
+
+    @pytest.fixture(scope="class", params=["z12_pipeline", "translation_pipeline"])
+    def pipeline(self, request):
+        return request.getfixturevalue(request.param)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_per_row_calls(self, pipeline, data):
+        x = batch_with_zero_rows(data, pipeline.action.n)
+        k, N = pipeline.target_dim, pipeline.sset.size
+        values = eval_invariants(pipeline.sset, x)
+        assert values.shape == (len(x), N)
+        for row, xi in zip(values, x):
+            np.testing.assert_array_equal(row, eval_invariants(pipeline.sset, xi))
+        for fn in (embed, measure):
+            batch = fn(pipeline, x)
+            assert batch.shape == (len(x), k)
+            for row, xi in zip(batch, x):
+                alone = fn(pipeline, xi)
+                assert alone.shape == (k,)
+                assert np.linalg.norm(row - alone) <= 1e-14 * np.linalg.norm(alone)
+        zero = ~x.any(axis=1)
+        assert np.all(embed(pipeline, x)[zero] == 0)
+        assert np.all(measure(pipeline, x)[zero] == 0)
+
+    def test_empty_batch(self, pipeline):
+        n, k = pipeline.action.n, pipeline.target_dim
+        assert embed(pipeline, np.zeros((0, n))).shape == (0, k)
+        assert measure(pipeline, np.zeros((0, n))).shape == (0, k)
+        assert eval_invariants(pipeline.sset, np.zeros((0, n))).shape == (0, pipeline.sset.size)
+
+    def test_zero_rows_are_positive_zero(self, pipeline):
+        # exactly +0, as the 1-d zero guard returns: no -0.0 in written files
+        x = np.zeros((3, pipeline.action.n), dtype=complex)
+        x[1] = -1e-301
+        phi = embed(pipeline, x)
+        assert not np.signbit(phi.real).any() and not np.signbit(phi.imag).any()
+        assert np.all(phi == 0)
+
+    def test_three_dimensional_input_rejected(self, z12_pipeline):
+        with pytest.raises(DimensionError):
+            embed(z12_pipeline, np.ones((2, 2, 5)))
 
 
 class TestLipschitzBound:
