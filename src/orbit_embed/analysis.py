@@ -38,6 +38,8 @@ LAMBDA_TOL = 1e-8
 # Pairs closer than this in the quotient metric are excluded from ratio
 # statistics (prevents 0/0 on same-orbit draws).
 RATIO_EXCLUSION = 1e-12
+# The separation margin must exceed the same-orbit leakage by this factor.
+SEPARATION_HEADROOM = 10.0
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -65,6 +67,27 @@ class VerificationReport:
         }
 
 
+# Suite parameter name -> (range check given the action's dimension n, the
+# range). The suites and the config loader both check through check_param.
+PARAM_RANGES = {
+    "samples": (lambda v, n: v >= 1, "must be at least 1"),
+    "p": (lambda v, n: v >= 5 and _is_prime(v), "must be a prime >= 5"),
+    "delta": (lambda v, n: 0.0 < v < 2.0, "must lie in (0, 2)"),
+    "epsilons": (lambda v, n: bool(v) and all(0.0 < e <= 0.5 for e in v)
+                 and all(b < a for a, b in zip(v, v[1:])),
+                 "must be nonempty, strictly decreasing and in (0, 0.5]"),
+    "witness": (lambda v, n: v is None or (0 <= min(v) and max(v) < n and v[0] != v[1]),
+                "must be null or two distinct coordinates in 0..{n}-1"),
+}
+
+
+def check_param(name: str, value, n: int | None = None) -> None:
+    """Raise ParameterError, naming the parameter and its range, when it is out of range."""
+    in_range, message = PARAM_RANGES[name]
+    if not in_range(value, n):
+        raise ParameterError(f"{name} {message.format(n=n)}, got {value}")
+
+
 def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
@@ -80,8 +103,7 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
     The zero signal is always included as a forced case; its embeddings must
     vanish exactly, not merely be small.
     """
-    if samples < 1:
-        raise ParameterError("need at least one sample")
+    check_param("samples", samples)
     action = pipeline.action
     worst = 0.0
     cases: list[dict] = []
@@ -107,18 +129,17 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
 
 
 def separation_margin(pipeline: Pipeline, samples: int, delta: float,
-                      seed: int = 0, headroom: float = 10.0) -> VerificationReport:
+                      seed: int = 0) -> VerificationReport:
     """Smallest embedding distance between clearly distinct orbits.
 
     Injectivity holds for a generic reducer draw; sampling verifies it
     quantitatively: among random unit pairs with quotient distance >= delta,
     the minimum of ||Phi(x)-Phi(y)|| must be positive and exceed the
-    same-orbit leakage (which must itself stay below 1e-10) by ``headroom``.
+    same-orbit leakage (which must itself stay below 1e-10) by a factor of
+    ``SEPARATION_HEADROOM``.
     """
-    if not 0.0 < delta < 2.0:
-        raise ParameterError(f"delta must lie in (0, 2), got {delta}")
-    if samples < 1:
-        raise ParameterError("need at least one sample")
+    check_param("delta", delta)
+    check_param("samples", samples)
     action = pipeline.action
     margin = math.inf
     leakage = 0.0
@@ -142,13 +163,13 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     if qualifying == 0:
         margin = 0.0
     passed = (qualifying > 0 and leakage <= SAME_ORBIT_TOL
-              and margin > 0.0 and margin > headroom * leakage)
+              and margin > 0.0 and margin > SEPARATION_HEADROOM * leakage)
     return VerificationReport(
         suite="separation", samples=samples, seed=seed,
-        statistic=margin, threshold=headroom * leakage, passed=passed,
+        statistic=margin, threshold=SEPARATION_HEADROOM * leakage, passed=passed,
         cases=tuple(cases),
         extra={"delta": delta, "qualifying_pairs": qualifying,
-               "same_orbit_leakage": leakage, "headroom": headroom})
+               "same_orbit_leakage": leakage, "headroom": SEPARATION_HEADROOM})
 
 
 def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> VerificationReport:
@@ -158,8 +179,7 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
     proven constant 3*m*||l|| (up to 1e-9 relative slack for rounding). The
     observed maximum is also the empirical Lipschitz estimate.
     """
-    if samples < 1:
-        raise ParameterError("need at least one sample")
+    check_param("samples", samples)
     action = pipeline.action
     bound = lipschitz_bound(pipeline)
     threshold = bound.bound * (1.0 + 1e-9)
@@ -197,10 +217,8 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
     the fixed point lambda* = 1 with vanishing residual. Pairs with
     ||H(y)|| = 0 are counted separately, never divided through.
     """
-    if not 0.0 < delta < 2.0:
-        raise ParameterError(f"delta must lie in (0, 2), got {delta}")
-    if samples < 1:
-        raise ParameterError("need at least one sample")
+    check_param("delta", delta)
+    check_param("samples", samples)
     action = pipeline.action
     min_residual = math.inf
     qualifying = 0
@@ -255,8 +273,7 @@ def sup_norm_check(sset: SeparatingSet, samples: int, seed: int = 0) -> Verifica
     At unit points each monomial has modulus at most 1 and each holomorphic
     partial has modulus at most the group order m.
     """
-    if samples < 1:
-        raise ParameterError("need at least one sample")
+    check_param("samples", samples)
     m = sset.action.m
     max_component = 0.0
     max_partial = 0.0
@@ -367,16 +384,12 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
             f"degeneration requires group order and dimension >= 3, "
             f"got m={diag.m}, n={diag.n}")
     eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0.0 or e > 0.5 for e in eps):
-        raise ParameterError("epsilons must lie in (0, 0.5]")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ParameterError("epsilons must be strictly decreasing")
+    check_param("epsilons", eps)
+    check_param("witness", witness, diag.n)
     if witness is None:
         support, perturb, _ = find_degeneration_witness(pipeline.sset)
     else:
         support, perturb = witness
-        if not (0 <= support < diag.n and 0 <= perturb < diag.n) or support == perturb:
-            raise ParameterError(f"invalid witness coordinates {witness}")
 
     x = np.zeros(diag.n, dtype=np.complex128)
     x[support] = 1.0
@@ -451,8 +464,8 @@ def prime_collision_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> VerificationReport:
     """Demonstrate that the prime-case map is invariant yet non-separating."""
-    if samples < 1:
-        raise ParameterError("need at least one sample")
+    check_param("samples", samples)
+    check_param("p", p)
     modulation = make_cyclic_action(p, range(p))
     worst = 0.0
     for i in range(samples):

@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, oracles
 from .action import make_cyclic_action, make_translation_action
 from .embed import Pipeline, embed, make_pipeline, operator_norm
-from .errors import DataError, OrbitEmbedError
+from .errors import DataError, OrbitEmbedError, ParameterError
 from .invariants import separating_set_to_json
 
 
@@ -36,13 +36,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# Suite parameter name -> (type check, diagnostic when it fails).
+# Suite parameter name -> (type check, diagnostic when it fails). The
+# parameter's range is checked after its type by analysis.check_param.
 PARAM_CHECKS = {
-    "samples": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
-    "p": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
+    "samples": (_is_int, "must be an integer"),
+    "p": (_is_int, "must be an integer"),
     "delta": (_is_real, "must be a real number"),
-    "epsilons": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_real, v)),
-                 "must be a nonempty list of real numbers"),
+    "epsilons": (lambda v: isinstance(v, list) and all(map(_is_real, v)),
+                 "must be a list of real numbers"),
     "witness": (lambda v: v is None or (isinstance(v, list) and len(v) == 2
                                         and all(map(_is_int, v))),
                 "must be null or a list of two integers"),
@@ -153,6 +154,7 @@ def config_from_dict(doc: dict) -> RunConfig:
                 and all(isinstance(w, int) for w in weights),
                 "action.weights", "must be a nonempty list of integers")
         action = {"m": m, "weights": list(weights)}
+        n = len(weights)
 
     target_dim = doc.get("target_dim", "auto")
     _expect(target_dim == "auto" or (isinstance(target_dim, int) and target_dim >= 1),
@@ -180,10 +182,14 @@ def config_from_dict(doc: dict) -> RunConfig:
         _expect(isinstance(params, dict), f"suites.{name}", "must be an object")
         merged = dict(suite.defaults)
         for key, value in params.items():
-            _expect(key in merged, f"suites.{name}.{key}",
-                    f"unknown parameter (valid: {sorted(merged)})")
+            field = f"suites.{name}.{key}"
+            _expect(key in merged, field, f"unknown parameter (valid: {sorted(merged)})")
             check, message = PARAM_CHECKS[key]
-            _expect(check(value), f"suites.{name}.{key}", message)
+            _expect(check(value), field, message)
+            try:
+                analysis.check_param(key, value, n)
+            except ParameterError as exc:
+                raise ConfigError(f"config field {field!r}: {exc}") from exc
             merged[key] = value
         suites[name] = merged
 
@@ -205,18 +211,26 @@ def config_from_dict(doc: dict) -> RunConfig:
                      out=out, signals=signals)
 
 
-def load_config(path: str) -> RunConfig:
+def _read_text(path: str, what: str, error: type[OrbitEmbedError]) -> str:
+    # an unreadable path is a usage error (exit 2), undecodable bytes an `error`
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path!r} is not UTF-8 text: {exc}") from exc
+
+
+def _parse_json(text: str, what: str, path: str, error: type[OrbitEmbedError]):
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config {path!r} is not valid JSON: line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}") from exc
-    return config_from_dict(doc)
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+        raise error(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> RunConfig:
+    text = _read_text(path, "config", ConfigError)
+    return config_from_dict(_parse_json(text, "config", path, ConfigError))
 
 
 def build_pipeline(config: RunConfig) -> Pipeline:
@@ -231,39 +245,38 @@ def build_pipeline(config: RunConfig) -> Pipeline:
 
 # --- signal I/O ----------------------------------------------------------------
 
-def load_signals(path: str, fmt: str = "json") -> np.ndarray | list[np.ndarray]:
-    """Read complex signals from a JSON or CSV file.
+def load_signals(path: str, fmt: str = "json") -> np.ndarray:
+    """Read complex signals from a JSON or CSV file into one ``(S, n)`` array.
 
     JSON: an array of signals, each an array of [re, im] number pairs. CSV:
     header ``signal_id,index,re,im`` with rows grouped by signal id; each
-    signal's indices must cover 0..len-1. Parsing is locale-independent.
-
-    Signals of one common length n come back as one complex ``(S, n)``
-    array, signals of different lengths as a list of 1-d arrays, and a file
-    without signals as ``[]``.
+    signal's indices must cover 0..len-1. Files are read as UTF-8 and parsed
+    locale-independently. Every signal must have the length of signal 0; a
+    file without signals gives a ``(0, 0)`` array.
     """
-    if fmt not in ("json", "csv"):
+    readers = {"json": _signals_from_json, "csv": _signals_from_csv}
+    if fmt not in readers:
         raise DataError(f"unknown signal format {fmt!r}")
-    text = Path(path).read_text()
+    text = _read_text(path, "signal file", DataError)
     if not text.strip():
         warnings.warn(f"signal file {path!r} is empty")
-        return []
-    if fmt == "json":
-        signals = _signals_from_json(text, path)
-    else:
-        signals = _signals_from_csv(text, path)
+        return _stack_signals([])
+    signals = readers[fmt](text, path)
     if not len(signals):
         warnings.warn(f"signal file {path!r} contains no signals")
-        return []
-    if isinstance(signals, list) and len({sig.shape[0] for sig in signals}) == 1:
-        signals = np.stack(signals)
-    if isinstance(signals, np.ndarray):
-        finite = np.isfinite(signals).all(axis=1)
-    else:
-        finite = [np.isfinite(sig).all() for sig in signals]
-    if not np.all(finite):
+    finite = np.isfinite(signals).all(axis=1)
+    if not finite.all():
         raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values")
     return signals
+
+
+def _stack_signals(signals: list) -> np.ndarray:
+    # 1-d signals of one common length -> one complex (S, n) array, (0, 0) for none
+    width = len(signals[0]) if signals else 0
+    for idx, sig in enumerate(signals):
+        if len(sig) != width:
+            raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
+    return np.array(signals, dtype=np.complex128).reshape(len(signals), width)
 
 
 def _complex_pairs(pairs) -> np.ndarray:
@@ -271,11 +284,8 @@ def _complex_pairs(pairs) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _signals_from_json(text: str, path: str) -> np.ndarray | list[np.ndarray]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+def _signals_from_json(text: str, path: str) -> np.ndarray:
+    doc = _parse_json(text, "signal file", path, DataError)
     if not isinstance(doc, list):
         raise DataError(f"{path}: top level must be an array of signals")
     try:
@@ -285,7 +295,7 @@ def _signals_from_json(text: str, path: str) -> np.ndarray | list[np.ndarray]:
     if (pairs is not None and pairs.dtype.kind in "biuf" and pairs.ndim == 3
             and pairs.shape[2] == 2):
         return _complex_pairs(pairs)
-    return [_signal_from_json(row, idx, path) for idx, row in enumerate(doc)]
+    return _stack_signals([_signal_from_json(row, idx, path) for idx, row in enumerate(doc)])
 
 
 def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
@@ -300,80 +310,69 @@ def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
     return _complex_pairs(pairs)
 
 
-def _signals_from_csv(text: str, path: str) -> list[np.ndarray]:
+def _signals_from_csv(text: str, path: str) -> np.ndarray:
     reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if [h.strip() for h in header] != ["signal_id", "index", "re", "im"]:
-        raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
     groups: dict[str, dict[int, complex]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-        sid = row[0]
-        try:
-            index = int(row[1])
-            value = complex(float(row[2]), float(row[3]))
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        entries = groups.setdefault(sid, {})
-        if index in entries:
-            raise DataError(f"{path}: signal {sid!r} repeats index {index}")
-        entries[index] = value
+    try:
+        if [h.strip() for h in next(reader, [])] != ["signal_id", "index", "re", "im"]:
+            raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+            sid = row[0]
+            try:
+                index = int(row[1])
+                value = complex(float(row[2]), float(row[3]))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            entries = groups.setdefault(sid, {})
+            if index in entries:
+                raise DataError(f"{path}: signal {sid!r} repeats index {index}")
+            entries[index] = value
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     signals = []
     for sid, entries in groups.items():
         if sorted(entries) != list(range(len(entries))):
             raise DataError(f"{path}: signal {sid!r} has ragged indices "
                             f"(expected 0..{len(entries) - 1})")
-        signals.append(np.array([entries[i] for i in range(len(entries))],
-                                dtype=np.complex128))
-    return signals
+        signals.append([entries[i] for i in range(len(entries))])
+    return _stack_signals(signals)
 
 
-def save_signals(path: str, signals, fmt: str = "json") -> None:
-    """Write signals in a form :func:`load_signals` reads back bit-exactly.
-
-    ``signals`` is an ``(S, n)`` array or a sequence of 1-d arrays.
-    """
-    if fmt == "json":
-        Path(path).write_text(_signals_to_json(signals))
-    elif fmt == "csv":
-        lines = ["signal_id,index,re,im"]
-        for sid, sig in enumerate(signals):
-            for index, v in enumerate(np.asarray(sig)):
-                lines.append(f"{sid},{index},{float(v.real)!r},{float(v.imag)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-    else:
+def save_signals(path: str, signals: np.ndarray, fmt: str = "json") -> None:
+    """Write an ``(S, n)`` complex array that :func:`load_signals` reads back
+    bit-exactly: all floats are formatted in one C-level call and laid out by
+    a template of one signal, repeated S times."""
+    writers = {"json": _signals_to_json, "csv": _signals_to_csv}
+    if fmt not in writers:
         raise DataError(f"unknown signal format {fmt!r}")
+    Path(path).write_text(writers[fmt](np.ascontiguousarray(signals, dtype=np.complex128)))
 
 
-def _json_signal_template(width: int) -> str:
-    # one signal of `width` [re, im] pairs as json.dumps(indent=2) lays it out
-    # inside the top-level array, with %s for each float
-    if width == 0:
-        return "  []"
-    pair = "    [\n      %s,\n      %s\n    ]"
-    return "  [\n" + ",\n".join([pair] * width) + "\n  ]"
-
-
-def _signals_to_json(signals) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for doc = [[[re, im], ...], ...].
-
-    json.dumps runs its C encoder only without indent, so the floats are
-    formatted in one such call (same reprs, NaN and Infinity spellings) and
-    laid out by a template built once per signal width.
+def _signals_to_json(signals: np.ndarray) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for doc = [[[re, im], ...], ...]; the
+    floats go through json.dumps without indent, the only mode its C encoder runs in.
     """
-    rows = [np.asarray(sig, dtype=np.complex128) for sig in signals]
-    if not rows:
+    S, n = signals.shape
+    if S == 0:
         return "[]\n"
-    reprs = json.dumps(np.concatenate(rows).view(np.float64).tolist())[1:-1]
-    layout = {w: _json_signal_template(w) for w in {len(row) for row in rows}}
-    template = "[\n" + ",\n".join(layout[len(row)] for row in rows) + "\n]\n"
-    return template % tuple(reprs.split(", ") if reprs else ())
+    pair = "    [\n      %s,\n      %s\n    ]"
+    row = "  [\n" + ",\n".join([pair] * n) + "\n  ]" if n else "  []"
+    reprs = json.dumps(signals.view(np.float64).ravel().tolist())[1:-1]
+    return ("[\n" + ",\n".join([row] * S) + "\n]\n") % tuple(
+        reprs.split(", ") if reprs else ())
+
+
+def _signals_to_csv(signals: np.ndarray) -> str:
+    # the header, then f"{sid},{index},{re!r},{im!r}" per value
+    S, n = signals.shape
+    row = "".join(f"%d,{index},%%s,%%s\n" for index in range(n))
+    template = "".join(row % ((sid,) * n) for sid in range(S))
+    reprs = tuple(map(repr, signals.view(np.float64).ravel().tolist()))
+    return "signal_id,index,re,im\n" + template % reprs
 
 
 def _write_json(path: Path, doc) -> None:
@@ -429,12 +428,10 @@ def cmd_embed(config: RunConfig, signals_path: str | None, fmt: str | None) -> i
     signals = load_signals(signals_path, fmt)
     pipeline = build_pipeline(config)
     n = pipeline.action.n
-    # an (S, n') array has one length to check, a ragged list one per signal
-    for idx, sig in enumerate(signals[:1] if isinstance(signals, np.ndarray) else signals):
-        if sig.shape[0] != n:
-            raise DataError(f"signal {idx} has length {sig.shape[0]}, expected {n}")
+    if len(signals) and signals.shape[1] != n:
+        raise DataError(f"signal 0 has length {signals.shape[1]}, expected {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        embedded = embed(pipeline, np.reshape(signals, (-1, n)))
+        embedded = embed(pipeline, signals.reshape(-1, n))
     finite = np.isfinite(embedded).all(axis=1)
     if not finite.all():
         raise DataError(f"signal {int(np.argmin(finite))} has a non-finite embedding "

@@ -265,26 +265,15 @@ def embed(pipeline: Pipeline, x) -> np.ndarray:
 class LipschitzBound:
     """The upper Lipschitz data of a pipeline: ||Phi(x)-Phi(y)|| is at most
     ``bound = 3 * m * reducer_norm`` times the quotient distance.
-
-    When sampled sup-norm estimates of the invariant map and its gradient on
-    the sphere are supplied, ``sampled_bound = 3 * reducer_norm * sampled_sup``
-    reports the tighter data-driven constant.
     """
 
     m: int
     reducer_norm: float
     bound: float
-    sampled_sup: float | None = None
-    sampled_bound: float | None = None
 
 
-def lipschitz_bound(pipeline: Pipeline, sampled_sup: float | None = None) -> LipschitzBound:
-    """Evaluate the theorem bound 3*m*||l|| (and optionally its sampled refinement)."""
+def lipschitz_bound(pipeline: Pipeline) -> LipschitzBound:
+    """Evaluate the theorem bound 3*m*||l||."""
     nrm = operator_norm(pipeline.reducer)
-    return LipschitzBound(
-        m=pipeline.action.m,
-        reducer_norm=nrm,
-        bound=3.0 * pipeline.action.m * nrm,
-        sampled_sup=sampled_sup,
-        sampled_bound=None if sampled_sup is None else 3.0 * nrm * sampled_sup,
-    )
+    return LipschitzBound(m=pipeline.action.m, reducer_norm=nrm,
+                          bound=3.0 * pipeline.action.m * nrm)

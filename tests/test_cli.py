@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,10 +76,31 @@ class TestRunConfig:
          "suites.sweep.epsilons"),
         ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"witness": [1, 2.0]}}},
          "suites.sweep.witness"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"separation": {"delta": 5.0}}},
+         "suites.separation.delta"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"nonparallel": {"delta": 0}}},
+         "suites.nonparallel.delta"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.1, 0.2]}}},
+         "suites.sweep.epsilons"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.9]}}},
+         "suites.sweep.epsilons"),
+        (dict(Z12_CONFIG, suites={"sweep": {"witness": [3, 9]}}), "suites.sweep.witness"),
+        ({"action": {"form": "translation", "n": 8}, "suites": {"sweep": {"witness": [8, 1]}}},
+         "suites.sweep.witness"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"prime": {"p": 3}}},
+         "suites.prime.p"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"prime": {"p": 4}}},
+         "suites.prime.p"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"invariance": {"samples": 0}}},
+         "suites.invariance.samples"),
     ])
     def test_diagnostics_name_the_field(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
             config_from_dict(doc)
+
+    def test_witness_range_uses_the_action_dimension(self):
+        doc = {"action": {"form": "translation", "n": 8}, "suites": {"sweep": {"witness": [7, 1]}}}
+        assert config_from_dict(doc).suites["sweep"]["witness"] == [7, 1]
 
 
 class TestSignalIO:
@@ -108,7 +130,8 @@ class TestSignalIO:
         path = tmp_path / "empty.json"
         path.write_text("")
         with pytest.warns(UserWarning, match="empty"):
-            assert load_signals(str(path), "json") == []
+            signals = load_signals(str(path), "json")
+        assert signals.shape == (0, 0) and signals.dtype == np.complex128
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
@@ -152,11 +175,22 @@ class TestSignalIO:
         np.testing.assert_array_equal(signals, [[1, 0], [0.5 + 2j, 3 + 4j]])
         assert np.signbit(signals[0, 1].imag)
 
-    def test_ragged_json_loads_as_list(self, tmp_path):
+    def test_ragged_json_rejected(self, tmp_path):
         path = tmp_path / "sig.json"
         path.write_text("[[[1, 0]], [[0, 1], [2, 0]], []]")
-        signals = load_signals(str(path), "json")
-        assert [sig.tolist() for sig in signals] == [[1], [1j, 2], []]
+        with pytest.raises(DataError, match="signal 1 has length 2, signal 0 has length 1"):
+            load_signals(str(path), "json")
+
+    def test_unequal_csv_lengths_rejected(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("signal_id,index,re,im\na,0,1,0\na,1,1,0\nb,0,1,0\n")
+        with pytest.raises(DataError, match="signal 1 has length 1, signal 0 has length 2"):
+            load_signals(str(path), "csv")
+
+    def test_zero_length_signals_load_as_s_by_0(self, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text("[[], []]")
+        assert load_signals(str(path), "json").shape == (2, 0)
 
 
 def signal_lists():
@@ -168,6 +202,16 @@ def signal_lists():
         lambda sig: np.array(sig, dtype=np.complex128)), max_size=5)
 
 
+def signal_arrays():
+    """(S, n) complex arrays, S and n from 0, special floats included."""
+    def pad(signals, width):
+        batch = np.zeros((len(signals), width), dtype=np.complex128)
+        for row, sig in zip(batch, signals):
+            row[:sig.size] = sig[:width]
+        return batch
+    return st.builds(pad, signal_lists(), st.integers(0, 3))
+
+
 class TestSaveSignalsJson:
     """save_signals writes exactly the bytes of the indent=2 json encoder."""
 
@@ -177,24 +221,44 @@ class TestSaveSignalsJson:
                for sig in signals]
         return json.dumps(doc, indent=2) + "\n"
 
-    @given(signals=signal_lists())
+    @given(batch=signal_arrays())
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_bytes_match_indent_encoder(self, tmp_path, signals):
-        path = tmp_path / "out.json"
-        save_signals(str(path), signals, "json")
-        assert path.read_text() == self.oracle(signals)
-
-    @given(signals=signal_lists(), width=st.integers(0, 3))
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_array_input_bytes_match(self, tmp_path, signals, width):
-        batch = np.zeros((len(signals), width), dtype=np.complex128)
-        for row, sig in zip(batch, signals):
-            row[:sig.size] = sig[:width]
+    def test_array_input_bytes_match(self, tmp_path, batch):
         path = tmp_path / "out.json"
         save_signals(str(path), batch, "json")
         assert path.read_text() == self.oracle(batch)
+
+
+class TestSaveSignalsCsv:
+    """save_signals writes the bytes of one f-string line per value."""
+
+    @staticmethod
+    def oracle(signals):
+        lines = ["signal_id,index,re,im"]
+        for sid, sig in enumerate(signals):
+            for index, v in enumerate(sig):
+                lines.append(f"{sid},{index},{float(v.real)!r},{float(v.imag)!r}")
+        return "\n".join(lines) + "\n"
+
+    @given(signals=signal_arrays())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_line_formula(self, tmp_path, signals):
+        path = tmp_path / "out.csv"
+        save_signals(str(path), signals, "csv")
+        assert path.read_text() == self.oracle(signals)
+
+    @pytest.mark.parametrize("signals,text", [
+        ([[complex(-0.0, 5e-324), complex(1e300, float("nan"))],
+          [complex(float("inf"), float("-inf")), 0]],
+         "0,0,-0.0,5e-324\n0,1,1e+300,nan\n1,0,inf,-inf\n1,1,0.0,0.0\n"),
+        (np.zeros((0, 0)), ""), (np.zeros((0, 3)), ""), (np.zeros((2, 0)), ""),
+    ], ids=["special-values", "0x0", "0x3", "2x0"])
+    def test_fixed_cases(self, tmp_path, signals, text):
+        path = tmp_path / "out.csv"
+        save_signals(str(path), np.array(signals, dtype=np.complex128), "csv")
+        assert path.read_text() == "signal_id,index,re,im\n" + text
 
 
 class TestVerifyCommand:
@@ -260,6 +324,22 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
         assert "suites.invariance.samples" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
+
+    def test_out_of_range_suite_parameter_writes_nothing(self, tmp_path, capsys):
+        doc = dict(Z12_CONFIG, suites={"invariance": {"samples": 10},
+                                       "separation": {"delta": 5.0}},
+                   out=str(tmp_path / "rep"))
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+        assert "suites.separation.delta" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("content", [b'{"seed": 1} \xe9', b"[" * 200_000],
+                             ids=["not-utf8", "deep"])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["verify", "--config", str(bad)]) == 2
+        assert "bad.json" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -332,9 +412,105 @@ class TestEmbedCommand:
         assert "signal 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name,content,fmt,code", [
+        ("missing.json", None, "json", 2),
+        ("adir", "dir", "json", 2),
+        ("latin1.json", b"[[[1, 0]]] \xe9", "json", 3),
+        ("deep.json", b"[" * 200_000 + b"]" * 200_000, "json", 3),
+        ("deep-signal.json", b"[" * 100 + b"]" * 100, "json", 3),
+        ("latin1.csv", b"signal_id,index,re,im\n0,0,1,\xe9\n", "csv", 3),
+        ("wide.csv", b"signal_id,index,re,im\n0,0," + b"1" * 200_000 + b",0\n", "csv", 3),
+        ("nul.csv", b"signal_id,index,re,im\n0,0,1\x00,0\n", "csv", 3),
+    ], ids=["missing", "directory", "not-utf8-json", "deep-json", "deep-signal",
+            "not-utf8-csv", "huge-csv-field", "nul-csv"])
+    def test_unreadable_signal_file_exits_cleanly(self, tmp_path, capsys,
+                                                  name, content, fmt, code):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
+        argv = ["embed", "--config", config, "--signals", str(path), "--format", fmt]
+        assert main(argv) == code
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_signals_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
         assert main(["embed", "--config", config]) == 2
+
+
+def json_signal_files():
+    """Signal files near the JSON format for n = 5: mostly valid signals."""
+    number = st.floats(-1e3, 1e3) | st.integers(-5, 5)
+    odd = st.sampled_from([10**400, 1e308, float("nan"), float("inf"), -0.0, 5e-324,
+                           None, True, "1", [], {}, [1.0]])
+    pair = st.lists(number, min_size=2, max_size=2)
+    bad_pair = st.lists(number | odd, max_size=3) | odd
+    signal = st.lists(pair, min_size=5, max_size=5)
+    bad_signal = st.lists(pair | bad_pair, max_size=6) | odd
+    doc = st.lists(signal, max_size=4) | st.lists(signal | bad_signal, max_size=4) | odd
+    return doc.map(json.dumps)
+
+
+def csv_signal_files():
+    """Signal files near the CSV format for n = 5: valid rows, some fields replaced."""
+    value = st.floats(-1e3, 1e3).map(repr)
+    odd = st.sampled_from(["nan", "inf", "1e400", "x", "", " 2 ", "-1", "5", '"3"', "0,0"])
+
+    def layout(header, signals, edits):
+        rows = [[str(sid), str(index), re, im] for sid, sig in enumerate(signals)
+                for index, (re, im) in enumerate(sig)]
+        for pos, col, text in edits:
+            if rows:
+                rows[pos % len(rows)][col] = text
+        return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+    signal = st.lists(st.tuples(value, value), min_size=5, max_size=5)
+    edit = st.tuples(st.integers(0, 30), st.integers(0, 3), odd)
+    header = st.sampled_from(["signal_id,index,re,im"] * 4 + ["id,index,re,im", ""])
+    return st.builds(layout, header, st.lists(signal, max_size=4),
+                     st.lists(edit, max_size=2))
+
+
+class TestEmbedFuzz:
+    """Any signal file ends in exit 0, 2 or 3, never in a traceback."""
+
+    @staticmethod
+    def run_embed(tmp_path, data: bytes, fmt: str) -> int:
+        sigs = tmp_path / f"sigs.{fmt}"
+        sigs.write_bytes(data)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dict(Z12_CONFIG, out=str(out)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # files without signals warn
+            code = main(["embed", "--config", config, "--signals", str(sigs),
+                         "--format", fmt])
+            assert code in (0, 2, 3)
+            if code == 0:
+                embedded = load_signals(str(out / f"embeddings.{fmt}"), fmt)
+                assert embedded.shape[1:] in [(0,), (11,)]
+                assert np.isfinite(embedded).all()
+        return code
+
+    @given(text=json_signal_files())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_near_valid_json(self, tmp_path, capsys, text):
+        self.run_embed(tmp_path, text.encode(), "json")
+
+    @given(text=csv_signal_files())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_near_valid_csv(self, tmp_path, capsys, text):
+        self.run_embed(tmp_path, text.encode(), "csv")
+
+    @given(data=st.binary(max_size=64), fmt=st.sampled_from(["json", "csv"]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes(self, tmp_path, capsys, data, fmt):
+        self.run_embed(tmp_path, data, fmt)
 
 
 class TestSweepCommand:

@@ -269,8 +269,3 @@ class TestLipschitzBound:
         pipeline = make_pipeline(make_cyclic_action(1, [0, 0]))
         bound = lipschitz_bound(pipeline)
         assert bound.bound == pytest.approx(3 * bound.reducer_norm)
-
-    def test_sampled_refinement(self, z12_pipeline):
-        bound = lipschitz_bound(z12_pipeline, sampled_sup=6.0)
-        assert bound.sampled_bound == pytest.approx(18 * bound.reducer_norm)
-        assert bound.sampled_bound < bound.bound
