@@ -11,6 +11,7 @@ per-sample generators are derived deterministically from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,25 +68,39 @@ class VerificationReport:
         }
 
 
-# Suite parameter name -> (range check given the action's dimension n, the
-# range). The suites and the config loader both check through check_param.
-PARAM_RANGES = {
-    "samples": (lambda v, n: v >= 1, "must be at least 1"),
-    "p": (lambda v, n: v >= 5 and _is_prime(v), "must be a prime >= 5"),
-    "delta": (lambda v, n: 0.0 < v < 2.0, "must lie in (0, 2)"),
-    "epsilons": (lambda v, n: bool(v) and all(0.0 < e <= 0.5 for e in v)
+def is_int(value) -> bool:
+    """An integer that is not a boolean (JSON ``true`` is not a number)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Suite parameter name -> (type and range check given the action's dimension
+# n, the rule). The suites and the config loader both check through check_param.
+PARAMS = {
+    "samples": (lambda v, n: is_int(v) and v >= 1, "must be an integer >= 1"),
+    "p": (lambda v, n: is_int(v) and v >= 5 and _is_prime(v), "must be a prime integer >= 5"),
+    "delta": (lambda v, n: is_real(v) and 0.0 < v < 2.0, "must be a real number in (0, 2)"),
+    "epsilons": (lambda v, n: isinstance(v, (list, tuple)) and bool(v)
+                 and all(is_real(e) and 0.0 < e <= 0.5 for e in v)
                  and all(b < a for a, b in zip(v, v[1:])),
-                 "must be nonempty, strictly decreasing and in (0, 0.5]"),
-    "witness": (lambda v, n: v is None or (0 <= min(v) and max(v) < n and v[0] != v[1]),
-                "must be null or two distinct coordinates in 0..{n}-1"),
+                 "must be a nonempty, strictly decreasing list of real numbers in (0, 0.5]"),
+    "witness": (lambda v, n: v is None or (isinstance(v, (list, tuple)) and len(v) == 2
+                                           and all(map(is_int, v)) and 0 <= min(v)
+                                           and max(v) < n and v[0] != v[1]),
+                "must be null or two distinct integer coordinates in 0..{n}-1"),
 }
 
 
 def check_param(name: str, value, n: int | None = None) -> None:
-    """Raise ParameterError, naming the parameter and its range, when it is out of range."""
-    in_range, message = PARAM_RANGES[name]
-    if not in_range(value, n):
-        raise ParameterError(f"{name} {message.format(n=n)}, got {value}")
+    """Raise ParameterError, naming the parameter and its rule, when the value
+    has the wrong type or is out of range."""
+    valid, message = PARAMS[name]
+    if not valid(value, n):
+        raise ParameterError(f"{name} {message.format(n=n)}, got {value!r}")
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -108,17 +123,16 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
     worst = 0.0
     cases: list[dict] = []
 
-    zero = np.zeros(action.n)
-    for k in range(action.m):
-        dev = float(np.linalg.norm(embed(pipeline, act(action, k, zero))))
-        worst = max(worst, dev)
+    for image in orbit(action, np.zeros(action.n)):
+        worst = max(worst, float(np.linalg.norm(embed(pipeline, image))))
 
     for i in range(samples):
         x = _sphere_point(_rng_for(seed, i), action.n)
+        images = orbit(action, x)
         phi_x = embed(pipeline, x)
         scale = 1.0 + float(np.linalg.norm(phi_x))
         for k in range(1, action.m):
-            dev = float(np.linalg.norm(embed(pipeline, act(action, k, x)) - phi_x)) / scale
+            dev = float(np.linalg.norm(embed(pipeline, images[k]) - phi_x)) / scale
             if dev > worst:
                 worst = dev
                 cases = [{"sample": i, "k": k, "deviation": dev}]
@@ -157,9 +171,8 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
             if gap < margin:
                 margin = gap
                 cases = [{"sample": i, "quotient_distance": d, "margin": gap}]
-        for k in range(1, action.m):
-            leakage = max(leakage, float(
-                np.linalg.norm(embed(pipeline, act(action, k, x)) - phi_x)))
+        for image in orbit(action, x)[1:]:
+            leakage = max(leakage, float(np.linalg.norm(embed(pipeline, image) - phi_x)))
     if qualifying == 0:
         margin = 0.0
     passed = (qualifying > 0 and leakage <= SAME_ORBIT_TOL
@@ -383,9 +396,9 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
         raise HypothesisError(
             f"degeneration requires group order and dimension >= 3, "
             f"got m={diag.m}, n={diag.n}")
-    eps = [float(e) for e in epsilons]
-    check_param("epsilons", eps)
+    check_param("epsilons", epsilons)
     check_param("witness", witness, diag.n)
+    eps = [float(e) for e in epsilons]
     if witness is None:
         support, perturb, _ = find_degeneration_witness(pipeline.sset)
     else:
@@ -472,10 +485,8 @@ def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> Verifica
         x = _sphere_point(_rng_for(seed, i), p)
         fx = prime_fourier_map(p, x)
         scale = 1.0 + float(np.linalg.norm(fx))
-        for k in range(1, p):
-            dev = float(np.linalg.norm(
-                prime_fourier_map(p, act(modulation, k, x)) - fx)) / scale
-            worst = max(worst, dev)
+        for image in orbit(modulation, x)[1:]:
+            worst = max(worst, float(np.linalg.norm(prime_fourier_map(p, image) - fx)) / scale)
     x, y = prime_collision_pair(p)
     map_gap = float(np.linalg.norm(prime_fourier_map(p, x) - prime_fourier_map(p, y)))
     orbit_gap = quotient_distance(modulation, x, y)

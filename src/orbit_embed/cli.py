@@ -14,7 +14,7 @@ import json
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -23,31 +23,10 @@ import numpy as np
 
 from . import analysis, oracles
 from .action import make_cyclic_action, make_translation_action
+from .analysis import is_int, is_real
 from .embed import Pipeline, embed, make_pipeline, operator_norm
 from .errors import DataError, OrbitEmbedError, ParameterError
 from .invariants import separating_set_to_json
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Suite parameter name -> (type check, diagnostic when it fails). The
-# parameter's range is checked after its type by analysis.check_param.
-PARAM_CHECKS = {
-    "samples": (_is_int, "must be an integer"),
-    "p": (_is_int, "must be an integer"),
-    "delta": (_is_real, "must be a real number"),
-    "epsilons": (lambda v: isinstance(v, list) and all(map(_is_real, v)),
-                 "must be a list of real numbers"),
-    "witness": (lambda v: v is None or (isinstance(v, list) and len(v) == 2
-                                        and all(map(_is_int, v))),
-                "must be null or a list of two integers"),
-}
 
 
 class Suite(NamedTuple):
@@ -133,74 +112,75 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"config field {path!r}: {message}")
 
 
+def _object(value, path: str, known) -> dict:
+    # a JSON object holding only known keys; path "" is the root
+    _expect(isinstance(value, dict), path or "<root>", "must be a JSON object")
+    for key in value:
+        _expect(key in known, f"{path}.{key}" if path else key,
+                f"unknown key (valid: {sorted(known)})")
+    return value
+
+
+# The keys of each action form; a missing form is diagonal.
+ACTION_KEYS = {"diagonal": {"form", "m", "weights"}, "translation": {"form", "n"}}
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """Validate and normalize a raw config document."""
-    _expect(isinstance(doc, dict), "<root>", "must be a JSON object")
-    known = {"action", "target_dim", "reducer", "suites", "seed", "out", "signals"}
-    for key in doc:
-        _expect(key in known, key, f"unknown key (valid: {sorted(known)})")
+    _object(doc, "", {"action", "target_dim", "reducer", "suites", "seed", "out", "signals"})
 
     raw_action = doc.get("action")
-    _expect(isinstance(raw_action, dict), "action", "must be an object")
-    if raw_action.get("form") == "translation":
+    form = raw_action.get("form", "diagonal") if isinstance(raw_action, dict) else "diagonal"
+    _expect(isinstance(form, str) and form in ACTION_KEYS, "action.form",
+            'must be "diagonal" or "translation"')
+    _object(raw_action, "action", ACTION_KEYS[form])
+    if form == "translation":
         n = raw_action.get("n")
-        _expect(isinstance(n, int) and n >= 1, "action.n", "must be a positive integer")
+        _expect(is_int(n) and n >= 1, "action.n", "must be a positive integer")
         action = {"form": "translation", "n": n}
     else:
         m = raw_action.get("m")
-        _expect(isinstance(m, int) and m >= 1, "action.m", "must be a positive integer")
+        _expect(is_int(m) and m >= 1, "action.m", "must be a positive integer")
         weights = raw_action.get("weights")
-        _expect(isinstance(weights, list) and weights
-                and all(isinstance(w, int) for w in weights),
+        _expect(isinstance(weights, list) and weights and all(map(is_int, weights)),
                 "action.weights", "must be a nonempty list of integers")
         action = {"m": m, "weights": list(weights)}
         n = len(weights)
 
     target_dim = doc.get("target_dim", "auto")
-    _expect(target_dim == "auto" or (isinstance(target_dim, int) and target_dim >= 1),
+    _expect(target_dim == "auto" or (is_int(target_dim) and target_dim >= 1),
             "target_dim", 'must be "auto" or a positive integer')
 
-    reducer = doc.get("reducer", {})
-    _expect(isinstance(reducer, dict), "reducer", "must be an object")
+    reducer = _object(doc.get("reducer", {}), "reducer", {"kind", "seed"})
     kind = reducer.get("kind", "auto")
     _expect(kind in ("auto", "gaussian", "identity"), "reducer.kind",
             'must be one of "auto", "gaussian", "identity"')
     reducer_seed = reducer.get("seed", 0)
-    _expect(isinstance(reducer_seed, int) and reducer_seed >= 0,
+    _expect(is_int(reducer_seed) and reducer_seed >= 0,
             "reducer.seed", "must be a nonnegative integer")
 
-    raw_suites = doc.get("suites", {name: {} for name in DEFAULT_SUITES})
-    _expect(isinstance(raw_suites, dict), "suites", "must be an object")
+    raw_suites = _object(doc.get("suites", {name: {} for name in DEFAULT_SUITES}),
+                         "suites", SUITES)
     suites = {}
-    for name in raw_suites:
-        _expect(name in SUITES, f"suites.{name}",
-                f"unknown suite (valid: {list(SUITES)})")
     for name, suite in SUITES.items():
         if name not in raw_suites:
             continue
-        params = raw_suites[name]
-        _expect(isinstance(params, dict), f"suites.{name}", "must be an object")
-        merged = dict(suite.defaults)
+        params = _object(raw_suites[name], f"suites.{name}", suite.defaults)
         for key, value in params.items():
-            field = f"suites.{name}.{key}"
-            _expect(key in merged, field, f"unknown parameter (valid: {sorted(merged)})")
-            check, message = PARAM_CHECKS[key]
-            _expect(check(value), field, message)
             try:
                 analysis.check_param(key, value, n)
             except ParameterError as exc:
-                raise ConfigError(f"config field {field!r}: {exc}") from exc
-            merged[key] = value
-        suites[name] = merged
+                raise ConfigError(f"config field 'suites.{name}.{key}': {exc}") from exc
+        suites[name] = {**suite.defaults, **params}
 
     seed = doc.get("seed", 0)
-    _expect(isinstance(seed, int) and seed >= 0, "seed", "must be a nonnegative integer")
+    _expect(is_int(seed) and seed >= 0, "seed", "must be a nonnegative integer")
     out = doc.get("out", "reports")
     _expect(isinstance(out, str) and out, "out", "must be a nonempty string")
 
     signals = doc.get("signals")
     if signals is not None:
-        _expect(isinstance(signals, dict), "signals", "must be an object")
+        _object(signals, "signals", {"path", "format"})
         _expect(isinstance(signals.get("path"), str), "signals.path", "must be a string")
         fmt = signals.get("format", "json")
         _expect(fmt in ("json", "csv"), "signals.format", 'must be "json" or "csv"')
@@ -292,8 +272,9 @@ def _signals_from_json(text: str, path: str) -> np.ndarray:
         pairs = np.array(doc)
     except (ValueError, OverflowError):
         pairs = None  # ragged or malformed: checked signal by signal below
-    if (pairs is not None and pairs.dtype.kind in "biuf" and pairs.ndim == 3
-            and pairs.shape[2] == 2):
+    # numpy reads true/false as 1/0, so a file naming either goes signal by signal
+    if (pairs is not None and pairs.dtype.kind in "iuf" and pairs.ndim == 3
+            and pairs.shape[2] == 2 and "true" not in text and "false" not in text):
         return _complex_pairs(pairs)
     return _stack_signals([_signal_from_json(row, idx, path) for idx, row in enumerate(doc)])
 
@@ -301,7 +282,7 @@ def _signals_from_json(text: str, path: str) -> np.ndarray:
 def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
     if not isinstance(row, list) or not all(
             isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, (int, float)) for v in pair) for pair in row):
+            and all(map(is_real, pair)) for pair in row):
         raise DataError(f"{path}: signal {idx} must be an array of [re, im] number pairs")
     try:
         pairs = np.array(row, dtype=np.float64).reshape(-1, 2)
@@ -533,12 +514,10 @@ def main(argv=None) -> int:
                            help="signal file format")
     args = parser.parse_args(argv)
 
+    overrides = {key: value for key, value in (("seed", args.seed), ("out", args.out))
+                 if value is not None}
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.out is not None:
-            config = replace(config, out=args.out)
+        config = config_from_dict({**load_config(args.config).to_dict(), **overrides})
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "monomials":

@@ -45,6 +45,21 @@ class TestCheckInvariance:
             check_invariance(minus_identity_pipeline, samples=0)
 
 
+@pytest.mark.parametrize("run", [
+    lambda pipeline: check_invariance(pipeline, samples=True),
+    lambda pipeline: check_invariance(pipeline, samples=1.5),
+    lambda pipeline: check_invariance(pipeline, samples="10"),
+    lambda pipeline: separation_margin(pipeline, samples=10, delta="0.1"),
+    lambda pipeline: lower_lipschitz_sweep(pipeline, ["0.1", "0.01"]),
+    lambda pipeline: lower_lipschitz_sweep(pipeline, [0.1, 0.01], witness=(3, 4.0)),
+    lambda pipeline: prime_case_report(5.0, samples=10),
+], ids=["samples-bool", "samples-float", "samples-str", "delta-str", "epsilons-str",
+        "witness-float", "p-float"])
+def test_parameter_of_wrong_type_raises_parameter_error(z12_pipeline, run):
+    with pytest.raises(ParameterError):
+        run(z12_pipeline)
+
+
 class TestSeparationMargin:
     def test_hand_pair(self, minus_identity_pipeline):
         # distinct orbits (1,0) and (0,1): embeddings (1,0,0) and (0,1,0)

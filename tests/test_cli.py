@@ -1,3 +1,4 @@
+import copy
 import json
 import warnings
 
@@ -93,6 +94,17 @@ class TestRunConfig:
          "suites.prime.p"),
         ({"action": {"m": 2, "weights": [1]}, "suites": {"invariance": {"samples": 0}}},
          "suites.invariance.samples"),
+        ({"action": {"m": 2, "weights": [1]}, "seed": True}, "'seed'"),
+        ({"action": {"m": 2, "weights": [1]}, "reducer": {"seed": True}}, "reducer.seed"),
+        ({"action": {"m": 2, "weights": [1]}, "target_dim": True}, "target_dim"),
+        ({"action": {"form": "translation", "n": True}}, "action.n"),
+        ({"action": {"m": 2, "weights": [1, True]}}, "action.weights"),
+        ({"action": {"m": True, "weights": [1]}}, "action.m"),
+        ({"action": {"m": 2, "weights": [1]}, "reducer": {"sed": 3}}, "reducer.sed"),
+        ({"action": {"m": 2, "weights": [1]}, "signals": {"path": "s.csv", "fromat": "csv"}},
+         "signals.fromat"),
+        ({"action": {"form": "rotation", "m": 2, "weights": [1]}}, "action.form"),
+        ({"action": {"form": "translation", "n": 8, "m": 8}}, "action.m"),
     ])
     def test_diagnostics_name_the_field(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
@@ -158,9 +170,9 @@ class TestSignalIO:
             load_signals(str(path), "json")
 
     @pytest.mark.parametrize("pair", ['["1", 0]', "[null, 0]", "[[1], [2]]", "[1, [2]]",
-                                      f"[{10**400}, 0]", "[1e400, 0]"],
+                                      f"[{10**400}, 0]", "[1e400, 0]", "[true, 0]"],
                              ids=["string", "null", "nested", "nested-im", "huge-int",
-                                  "huge-float"])
+                                  "huge-float", "bool"])
     def test_non_numeric_json_entry_rejected(self, tmp_path, pair):
         path = tmp_path / "sig.json"
         path.write_text(f"[[[1, 0], [0, 0]], [[1, 0], {pair}]]")
@@ -333,6 +345,16 @@ class TestVerifyCommand:
         assert "suites.separation.delta" in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("flag,value,field", [("--seed", "-5", "'seed'"),
+                                                  ("--out", "", "'out'")])
+    def test_overrides_follow_the_config_rules(self, tmp_path, capsys, monkeypatch,
+                                               flag, value, field):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "rep")))
+        assert main(["verify", "--config", config, flag, value]) == 2
+        assert field in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("content", [b'{"seed": 1} \xe9', b"[" * 200_000],
                              ids=["not-utf8", "deep"])
     def test_unparsable_config_exits_2(self, tmp_path, capsys, content):
@@ -398,6 +420,14 @@ class TestEmbedCommand:
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
         assert main(["embed", "--config", config, "--signals", str(sigs)]) == 3
         assert "signal 1" in capsys.readouterr().err
+
+    def test_boolean_signal_file_exits_3(self, tmp_path, capsys):
+        sigs = tmp_path / "sigs.json"
+        sigs.write_text(json.dumps([[[True, False]] + [[False, False]] * 4]))
+        config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
+        assert main(["embed", "--config", config, "--signals", str(sigs)]) == 3
+        assert "signal 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_norm_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # ||x|| overflows to inf, so Phi(x) would be NaN
@@ -511,6 +541,79 @@ class TestEmbedFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_arbitrary_bytes(self, tmp_path, capsys, data, fmt):
         self.run_embed(tmp_path, data, fmt)
+
+
+def config_documents():
+    """Config documents near the format: a small valid config with some values
+    replaced, keys removed or unknown keys added (sizes stay small, so every
+    action is cheap to build)."""
+    odd = st.sampled_from([True, False, None, -1, 0, 1, 3, 2.5, float("nan"), "", "x",
+                           "auto", "translation", "csv", [], [1], [1, True], {}, {"n": 3}])
+    action = (st.fixed_dictionaries({"m": st.integers(1, 12), "weights": st.lists(
+        st.integers(-3, 12), min_size=1, max_size=4)})
+        | st.fixed_dictionaries({"form": st.just("translation"), "n": st.integers(1, 6)}))
+    doc = st.fixed_dictionaries({
+        "action": action,
+        "target_dim": st.sampled_from(["auto", 1, 3]),
+        "reducer": st.fixed_dictionaries({
+            "kind": st.sampled_from(["auto", "gaussian", "identity"]),
+            "seed": st.integers(0, 5)}),
+        "suites": st.just({"invariance": {"samples": 3}, "separation": {"delta": 0.5},
+                           "sweep": {"epsilons": [0.1, 0.01], "witness": [0, 1]},
+                           "prime": {"p": 5}}),
+        "seed": st.integers(0, 5),
+        "out": st.just("out"),
+        "signals": st.just({"path": "s.json", "format": "json"}),
+    })
+    edit = st.tuples(st.integers(0, 60), st.sampled_from(["replace", "delete", "add"]), odd)
+    return st.builds(edit_config, doc, st.lists(edit, max_size=3))
+
+
+def edit_config(doc, edits):
+    def slots(node):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            yield node, key
+            yield from slots(value)
+
+    doc = copy.deepcopy(doc)
+    for pick, op, value in edits:
+        found = list(slots(doc))  # the root keeps 4 of its 7 keys, so never empty
+        container, key = found[pick % len(found)]
+        if op == "replace":
+            container[key] = copy.deepcopy(value)
+        elif op == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[f"extra{pick}"] = copy.deepcopy(value)
+        else:
+            container.append(copy.deepcopy(value))
+    return doc
+
+
+def must_refuse(node) -> bool:
+    """A boolean anywhere or an added key in any object: no config takes either."""
+    if isinstance(node, dict):
+        return any(key.startswith("extra") or must_refuse(value)
+                   for key, value in node.items())
+    if isinstance(node, list):
+        return any(map(must_refuse, node))
+    return isinstance(node, bool)
+
+
+class TestConfigFuzz:
+    """Any config document ends in exit 0 or 2, never in a traceback."""
+
+    @given(doc=config_documents())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_near_valid_config(self, tmp_path, capsys, monkeypatch, doc):
+        monkeypatch.chdir(tmp_path)  # relative "out" values land here
+        code = main(["monomials", "--config", write_config(tmp_path, doc)])
+        assert code in (0, 2)
+        if must_refuse(doc):
+            assert code == 2
 
 
 class TestSweepCommand:
