@@ -12,7 +12,7 @@ The resulting map is invariant under the action, separates orbits, and is
 Lipschitz with constant at most 3 * m * ||reducer|| in the quotient metric.
 """
 
-from .action import (CyclicAction, act, as_signal, dft, idft,
+from .action import (CyclicAction, act, as_signals, dft, idft,
                      make_cyclic_action, make_translation_action, orbit,
                      quotient_distance, to_fourier_domain)
 from .analysis import (SweepResult, VerificationReport, check_invariance,
@@ -23,8 +23,7 @@ from .analysis import (SweepResult, VerificationReport, check_invariance,
                        tilde_rescale)
 from .embed import (LipschitzBound, Pipeline, Reducer, auto_target_dim, embed,
                     eval_gradient, eval_invariants, lipschitz_bound,
-                    make_pipeline, make_reducer, measure, operator_norm,
-                    reducer_from_json, reducer_to_json)
+                    make_pipeline, make_reducer, measure, operator_norm)
 from .errors import (DataError, DimensionError, FormError, HypothesisError,
                      OrbitEmbedError, ParameterError)
 from .invariants import (Monomial, PairMonomial, PowerMonomial, SeparatingSet,
@@ -36,7 +35,7 @@ from .invariants import (Monomial, PairMonomial, PowerMonomial, SeparatingSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclicAction", "act", "as_signal", "dft", "idft", "make_cyclic_action",
+    "CyclicAction", "act", "as_signals", "dft", "idft", "make_cyclic_action",
     "make_translation_action", "orbit", "quotient_distance", "to_fourier_domain",
     "Monomial", "PairMonomial", "PowerMonomial", "SeparatingSet",
     "coordinate_order", "is_homogeneous", "is_invariant_monomial",
@@ -44,8 +43,7 @@ __all__ = [
     "separating_set_to_json",
     "LipschitzBound", "Pipeline", "Reducer", "auto_target_dim", "embed",
     "eval_gradient", "eval_invariants", "lipschitz_bound", "make_pipeline",
-    "make_reducer", "measure", "operator_norm", "reducer_from_json",
-    "reducer_to_json",
+    "make_reducer", "measure", "operator_norm",
     "SweepResult", "VerificationReport", "check_invariance",
     "empirical_lipschitz", "find_degeneration_witness", "lower_lipschitz_sweep",
     "nonparallel_falsification", "prime_case_report", "prime_collision_pair",

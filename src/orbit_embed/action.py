@@ -42,8 +42,8 @@ class CyclicAction:
 
 def make_cyclic_action(m: int, weights) -> CyclicAction:
     """Build a diagonal-form action; weights are reduced mod m on input."""
-    if m < 1:
-        raise ParameterError(f"group order must be a positive integer, got {m}")
+    if not 1 <= m < 2**63:
+        raise ParameterError(f"group order must be in 1..2**63-1 (int64 exponents), got {m}")
     weights = tuple(int(e) % m for e in weights)
     if not weights:
         raise DimensionError("weight list must be nonempty")
@@ -55,16 +55,6 @@ def make_translation_action(n: int) -> CyclicAction:
     if n < 1:
         raise ParameterError(f"dimension must be a positive integer, got {n}")
     return CyclicAction(m=int(n), n=int(n), weights=tuple(range(n)), form=TRANSLATION)
-
-
-def as_signal(x, n: int | None = None) -> np.ndarray:
-    """Coerce to a 1-d complex128 vector, optionally checking its length."""
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise DimensionError(f"signal must be one-dimensional, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise DimensionError(f"signal has length {arr.shape[0]}, expected {n}")
-    return arr
 
 
 def as_signals(x, n: int | None = None) -> np.ndarray:
@@ -101,41 +91,45 @@ def _shift_table(action: CyclicAction) -> np.ndarray:
     return (j - k) % action.n
 
 
-def act(action: CyclicAction, k: int, x) -> np.ndarray:
-    """Apply the k-th power of the generator to a signal.
+def act(action: CyclicAction, k, x) -> np.ndarray:
+    """Apply the k-th power of the generator to a signal, or to a batch
+    ``(S, n)`` with one k for all rows or an ``(S,)`` array of them.
 
     Translation form shifts indices (``y(j) = x(j-k mod n)``); diagonal form
-    multiplies entry i by ``omega**(k*e_i)``. The result has the same norm as
-    the input (the action is unitary).
+    multiplies entry i by ``omega**(k*e_i)``. Each row keeps its norm.
     """
-    x = as_signal(x, action.n)
-    k = int(k) % action.m
+    x = as_signals(x, action.n)
+    k = np.asarray(k) % action.m
+    if k.ndim and k.shape != x.shape[:-1]:
+        raise DimensionError(f"got {k.size} powers for signals of shape {x.shape}")
     if action.form == TRANSLATION:
-        return x[_shift_table(action)[k]]
+        return np.take_along_axis(x, np.broadcast_to(_shift_table(action)[k], x.shape), axis=-1)
     return _phase_table(action)[k] * x
 
 
 def orbit(action: CyclicAction, x) -> np.ndarray:
-    """All m images T^k x stacked into an (m, n) array, k = 0..m-1."""
-    x = as_signal(x, action.n)
+    """All m images T^k x, k = 0..m-1: ``(m, n)``, or ``(S, m, n)`` for a batch."""
+    x = as_signals(x, action.n)
     if action.form == TRANSLATION:
-        return x[_shift_table(action)]
-    return _phase_table(action) * x
+        return x[..., _shift_table(action)]
+    return _phase_table(action) * x[..., None, :]
 
 
-def quotient_distance(action: CyclicAction, x, y) -> float:
-    """Distance between the orbits of x and y.
+def quotient_distance(action: CyclicAction, x, y):
+    """Distance between the orbits of x and y: a float, or ``(S,)`` for batches.
 
     Computes ``min_k ||x - T^k y||`` exactly by enumerating all m group
-    elements; for a finite group this attains the infimum defining the
-    quotient metric. Both orientations are evaluated and pooled so the
-    result is symmetric in its arguments even at float precision.
+    elements, one at a time; for a finite group this attains the infimum
+    defining the quotient metric. Both orientations are evaluated and pooled
+    so the result is symmetric in its arguments even at float precision.
     """
-    x = as_signal(x, action.n)
-    y = as_signal(y, action.n)
-    forward = np.linalg.norm(orbit(action, y) - x, axis=1).min()
-    backward = np.linalg.norm(orbit(action, x) - y, axis=1).min()
-    return float(min(forward, backward))
+    x = as_signals(x, action.n)
+    y = as_signals(y, action.n)
+    best = np.inf
+    for k in range(action.m):
+        best = np.minimum(best, np.minimum(np.linalg.norm(act(action, k, y) - x, axis=-1),
+                                           np.linalg.norm(act(action, k, x) - y, axis=-1)))
+    return best
 
 
 def dft(x) -> np.ndarray:

@@ -5,7 +5,9 @@ compares it against a fixed threshold. Sphere sampling uses normalized
 independent complex Gaussian coordinates (uniform on the unit sphere), and
 per-sample generators are derived deterministically from
 (master seed, sample index), so a report is a pure function of
-(pipeline, seed, samples).
+(pipeline, seed, samples). Samples are drawn and evaluated in blocks, so a
+suite's memory does not grow with its sample count; a reported worst case
+is the first sample, in index order, that attains it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import act, as_signal, make_cyclic_action, orbit, quotient_distance
-from .embed import (Pipeline, embed, embed_monomial_domain, eval_gradient,
-                    eval_invariants, lipschitz_bound, measure)
+from .action import CyclicAction, act, as_signals, make_cyclic_action, orbit, quotient_distance
+from .embed import (Pipeline, blocks, embed, embed_monomial_domain,
+                    eval_invariants, eval_partials, lipschitz_bound, measure)
 from .errors import HypothesisError, ParameterError
 from .invariants import PairMonomial, SeparatingSet
 
@@ -112,6 +114,41 @@ def _sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
+def _sample_blocks(seed: int, samples: int, width: int, draw):
+    """Per block of samples of ``width`` complex values (``embed.blocks``), yield its
+    first index and ``draw(rng)``, a tuple per sample from its own stream, stacked."""
+    for block in blocks(samples, width):
+        rngs = (_rng_for(seed, i) for i in range(block.start, block.stop))
+        yield (block.start, *map(np.array, zip(*map(draw, rngs))))
+
+
+def _orbit_deviation(action: CyclicAction, f, samples: int, seed: int, width: int,
+                     worst: float = 0.0) -> tuple[float, dict | None]:
+    """Largest ``||f(T^k x) - f(x)|| / (1 + ||f(x)||)`` over sampled unit x, k = 1..m-1
+    (f maps rows to rows of ``width``), and the first case beating ``worst``, or None."""
+    n, m = action.n, action.m
+    case = None
+    for start, x in _sample_blocks(seed, samples, m * width, lambda rng: (_sphere_point(rng, n),)):
+        values = f(orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)  # k = 0 is x
+        dev = (np.linalg.norm(values[:, 1:] - values[:, :1], axis=-1)
+               / (1.0 + np.linalg.norm(values[:, :1], axis=-1)))
+        if dev.size and dev.max() > worst:
+            i = int(np.argmax(dev))
+            worst = float(dev.flat[i])
+            case = {"sample": start + i // (m - 1), "k": i % (m - 1) + 1, "deviation": worst}
+    return worst, case
+
+
+def _parallel_fit(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row with ``||h||^2 != 0`` (the mask ``ok``), the best positive multiple
+    ``lambda* = max(Re<h, g>, 0) / ||h||^2`` and the residual ``||g - lambda* h||``."""
+    h2 = np.linalg.norm(h, axis=-1) ** 2
+    ok = h2 != 0.0
+    h, g = h[ok], g[ok]
+    lam = np.maximum(np.real(np.sum(h.conj() * g, axis=-1)) / h2[ok], 0.0)
+    return ok, lam, np.linalg.norm(g - lam[:, None] * h, axis=-1)
+
+
 def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> VerificationReport:
     """Max relative deviation of Phi over full orbits of random unit signals.
 
@@ -120,26 +157,13 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
     """
     check_param("samples", samples)
     action = pipeline.action
-    worst = 0.0
-    cases: list[dict] = []
-
-    for image in orbit(action, np.zeros(action.n)):
-        worst = max(worst, float(np.linalg.norm(embed(pipeline, image))))
-
-    for i in range(samples):
-        x = _sphere_point(_rng_for(seed, i), action.n)
-        images = orbit(action, x)
-        phi_x = embed(pipeline, x)
-        scale = 1.0 + float(np.linalg.norm(phi_x))
-        for k in range(1, action.m):
-            dev = float(np.linalg.norm(embed(pipeline, images[k]) - phi_x)) / scale
-            if dev > worst:
-                worst = dev
-                cases = [{"sample": i, "k": k, "deviation": dev}]
+    zero = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
+    worst, case = _orbit_deviation(action, lambda u: embed(pipeline, u), samples, seed,
+                                   max(action.n, pipeline.target_dim), zero)
     return VerificationReport(
         suite="invariance", samples=samples, seed=seed,
         statistic=worst, threshold=INVARIANCE_TOL,
-        passed=worst <= INVARIANCE_TOL, cases=tuple(cases))
+        passed=worst <= INVARIANCE_TOL, cases=(case,) if case else ())
 
 
 def separation_margin(pipeline: Pipeline, samples: int, delta: float,
@@ -155,24 +179,25 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     check_param("delta", delta)
     check_param("samples", samples)
     action = pipeline.action
+    n, m = action.n, action.m
     margin = math.inf
     leakage = 0.0
     qualifying = 0
     cases: list[dict] = []
-    for i in range(samples):
-        rng = _rng_for(seed, i)
-        x = _sphere_point(rng, action.n)
-        y = _sphere_point(rng, action.n)
-        phi_x = embed(pipeline, x)
+    for start, x, y in _sample_blocks(seed, samples, (m + 1) * max(n, pipeline.target_dim),
+                                      lambda rng: (_sphere_point(rng, n), _sphere_point(rng, n))):
+        phi = embed(pipeline, orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)
+        spread = np.linalg.norm(phi[:, 1:] - phi[:, :1], axis=-1)  # k = 0 is Phi(x)
+        leakage = max(leakage, float(spread.max(initial=0.0)))
         d = quotient_distance(action, x, y)
-        if d >= delta:
-            gap = float(np.linalg.norm(phi_x - embed(pipeline, y)))
-            qualifying += 1
-            if gap < margin:
-                margin = gap
-                cases = [{"sample": i, "quotient_distance": d, "margin": gap}]
-        for image in orbit(action, x)[1:]:
-            leakage = max(leakage, float(np.linalg.norm(embed(pipeline, image) - phi_x)))
+        far = np.flatnonzero(d >= delta)
+        gaps = np.linalg.norm(phi[far, 0] - embed(pipeline, y[far]), axis=-1)
+        qualifying += len(far)
+        if gaps.size and gaps.min() < margin:
+            i = int(np.argmin(gaps))
+            margin = float(gaps[i])
+            cases = [{"sample": start + int(far[i]),
+                      "quotient_distance": float(d[far[i]]), "margin": margin}]
     if qualifying == 0:
         margin = 0.0
     passed = (qualifying > 0 and leakage <= SAME_ORBIT_TOL
@@ -194,24 +219,27 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
     """
     check_param("samples", samples)
     action = pipeline.action
+    n = action.n
     bound = lipschitz_bound(pipeline)
     threshold = bound.bound * (1.0 + 1e-9)
     worst = 0.0
     excluded = 0
     cases: list[dict] = []
-    for i in range(samples):
-        rng = _rng_for(seed, i)
-        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
-        x = scales[0] * _sphere_point(rng, action.n)
-        y = scales[1] * _sphere_point(rng, action.n)
+    for start, x, y in _sample_blocks(
+            seed, samples, 2 * max(n, pipeline.target_dim),
+            # two scales, then the two unit points they scale
+            lambda rng: tuple(s * _sphere_point(rng, n)
+                              for s in 10.0 ** rng.uniform(-3.0, 3.0, size=2))):
         d = quotient_distance(action, x, y)
-        if d < RATIO_EXCLUSION:
-            excluded += 1
-            continue
-        ratio = float(np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))) / d
-        if ratio > worst:
-            worst = ratio
-            cases = [{"sample": i, "quotient_distance": d, "ratio": ratio}]
+        kept = np.flatnonzero(d >= RATIO_EXCLUSION)
+        excluded += len(d) - len(kept)
+        ratios = np.linalg.norm(embed(pipeline, x[kept]) - embed(pipeline, y[kept]),
+                                axis=-1) / d[kept]
+        if ratios.size and ratios.max() > worst:
+            i = int(np.argmax(ratios))
+            worst = float(ratios[i])
+            cases = [{"sample": start + int(kept[i]),
+                      "quotient_distance": float(d[kept[i]]), "ratio": worst}]
     return VerificationReport(
         suite="lipschitz", samples=samples, seed=seed,
         statistic=worst, threshold=threshold, passed=worst <= threshold,
@@ -233,39 +261,33 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
     check_param("delta", delta)
     check_param("samples", samples)
     action = pipeline.action
+    n, m = action.n, action.m
     min_residual = math.inf
     qualifying = 0
     zero_image = 0
     lam_err = 0.0
     same_resid = 0.0
     cases: list[dict] = []
-    for i in range(samples):
-        rng = _rng_for(seed, i)
-        x = _sphere_point(rng, action.n)
-        y = _sphere_point(rng, action.n)
-        hx = measure(pipeline, x)
-        hy = measure(pipeline, y)
-        ny2 = float(np.linalg.norm(hy)) ** 2
-        if quotient_distance(action, x, y) >= delta:
-            if ny2 == 0.0:
-                zero_image += 1
-            else:
-                lam = max(float(np.real(np.vdot(hy, hx))) / ny2, 0.0)
-                resid = float(np.linalg.norm(hx - lam * hy))
-                qualifying += 1
-                if resid < min_residual:
-                    min_residual = resid
-                    cases = [{"sample": i, "lambda": lam, "residual": resid}]
+    for start, x, y, k in _sample_blocks(
+            seed, samples, 3 * max(n, pipeline.target_dim),
+            # the pair, then the group element of the same-orbit pair (x, T^k x)
+            lambda rng: (_sphere_point(rng, n), _sphere_point(rng, n),
+                         int(rng.integers(1, m)) if m > 1 else 0)):
+        hx, hy = measure(pipeline, x), measure(pipeline, y)
+        far = np.flatnonzero(quotient_distance(action, x, y) >= delta)
+        ok, lam, resid = _parallel_fit(hy[far], hx[far])
+        zero_image += int(np.sum(~ok))
+        qualifying += len(lam)
+        if resid.size and resid.min() < min_residual:
+            i = int(np.argmin(resid))
+            min_residual = float(resid[i])
+            cases = [{"sample": start + int(far[ok][i]), "lambda": float(lam[i]),
+                      "residual": min_residual}]
         # same-orbit fixed point: lambda* = 1, residual ~ 0
-        k = int(rng.integers(1, action.m)) if action.m > 1 else 0
-        hgx = measure(pipeline, act(action, k, x))
-        nx2 = float(np.linalg.norm(hx)) ** 2
-        if nx2 == 0.0:
-            zero_image += 1
-        else:
-            lam = max(float(np.real(np.vdot(hx, hgx))) / nx2, 0.0)
-            lam_err = max(lam_err, abs(lam - 1.0))
-            same_resid = max(same_resid, float(np.linalg.norm(hgx - lam * hx)))
+        ok, lam, resid = _parallel_fit(hx, measure(pipeline, act(action, k, x)))
+        zero_image += int(np.sum(~ok))
+        lam_err = max(lam_err, float(np.abs(lam - 1.0).max(initial=0.0)))
+        same_resid = max(same_resid, float(resid.max(initial=0.0)))
     if qualifying == 0:
         min_residual = 0.0
     passed = (qualifying > 0 and min_residual > 0.0
@@ -290,10 +312,12 @@ def sup_norm_check(sset: SeparatingSet, samples: int, seed: int = 0) -> Verifica
     m = sset.action.m
     max_component = 0.0
     max_partial = 0.0
-    for i in range(samples):
-        x = _sphere_point(_rng_for(seed, i), sset.n)
+    for _, x in _sample_blocks(seed, samples, sset.size,
+                               lambda rng: (_sphere_point(rng, sset.n),)):
         max_component = max(max_component, float(np.abs(eval_invariants(sset, x)).max()))
-        max_partial = max(max_partial, float(np.abs(eval_gradient(sset, x)).max()))
+        # the partials that can be nonzero, without the dense (S, N, n) Jacobian
+        max_partial = max(max_partial, *(float(np.abs(d).max(initial=0.0))
+                                         for d in eval_partials(sset, x)))
     component_ok = max_component <= 1.0 + 1e-12
     partial_ok = max_partial <= m + 1e-9
     return VerificationReport(
@@ -315,7 +339,7 @@ def tilde_rescale(sset: SeparatingSet, y, lam: float) -> np.ndarray:
     """
     if lam <= 0:
         raise ParameterError(f"rescale factor must be positive, got {lam}")
-    y = as_signal(y, sset.n)
+    y = as_signals(y, sset.n)
     exponents = 1.0 / np.array(sset.orders, dtype=np.float64)
     return lam ** exponents * y
 
@@ -404,22 +428,17 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     else:
         support, perturb = witness
 
-    x = np.zeros(diag.n, dtype=np.complex128)
-    x[support] = 1.0
-    phi_x = embed_monomial_domain(pipeline, x)
-
-    dists, gaps, ratios = [], [], []
-    for e in eps:
-        xe = x.copy()
-        xe[support] = math.sqrt(1.0 - e * e)
-        xe[perturb] = e
-        d = quotient_distance(diag, xe, x)
-        if d <= 0.0:
-            raise HypothesisError(f"witness path hit the same orbit at eps={e}")
-        gap = float(np.linalg.norm(embed_monomial_domain(pipeline, xe) - phi_x))
-        dists.append(d)
-        gaps.append(gap)
-        ratios.append(gap / d)
+    # row 0 is the base point x (eps = 0), row i + 1 is x_eps for eps[i]
+    xe = np.zeros((len(eps) + 1, diag.n), dtype=np.complex128)
+    xe[:, support] = np.sqrt(1.0 - np.square([0.0] + eps))
+    xe[1:, perturb] = eps
+    dists = quotient_distance(diag, xe[1:], xe[0])
+    if (dists <= 0.0).any():
+        raise HypothesisError(f"witness path hit the same orbit at eps={eps[np.argmin(dists)]}")
+    phi = embed_monomial_domain(pipeline, xe)
+    # the whole-vector (BLAS dot) norm of each row keeps the recorded sweep bits
+    gaps = [float(np.linalg.norm(row)) for row in phi[1:] - phi[0]]
+    ratios = (np.array(gaps) / dists).tolist()
 
     log_e = np.log(eps)
     log_r = np.log(ratios)
@@ -428,7 +447,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     residual = float(np.sqrt(np.mean((fit - log_r) ** 2)))
     passed = 0.8 <= slope <= 1.2 and ratios[-1] / ratios[0] < 0.5
     return SweepResult(
-        epsilons=tuple(eps), quotient_distances=tuple(dists),
+        epsilons=tuple(eps), quotient_distances=tuple(dists.tolist()),
         embedding_gaps=tuple(gaps), ratios=tuple(ratios),
         slope=float(slope), residual=residual,
         support_index=support, perturb_index=perturb, passed=passed)
@@ -446,17 +465,16 @@ def prime_fourier_map(p: int, xhat) -> np.ndarray:
     """The naive Fourier-domain invariant map for prime p.
 
     Sends xhat to (xhat_0, xhat_1^p, ..., xhat_{p-1}^p,
-    xhat_1^{p-2} xhat_2, ..., xhat_1 xhat_{p-1}), a vector of length 2p-2.
-    It is invariant under modulation but fails to separate orbits whenever
-    xhat_1 = 0, which is why the full separating set is needed.
+    xhat_1^{p-2} xhat_2, ..., xhat_1 xhat_{p-1}), a vector of length 2p-2
+    (row by row for a batch ``(S, p)``). It is invariant under modulation
+    but fails to separate orbits whenever xhat_1 = 0, which is why the full
+    separating set is needed.
     """
     if not _is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
-    xhat = as_signal(xhat, p)
-    head = [xhat[0]]
-    powers = [xhat[k] ** p for k in range(1, p)]
-    cross = [xhat[1] ** (p - k) * xhat[k] for k in range(2, p)]
-    return np.array(head + powers + cross, dtype=np.complex128)
+    xhat = as_signals(xhat, p)
+    cross = xhat[..., 1:2] ** np.arange(p - 2, 0, -1) * xhat[..., 2:]
+    return np.concatenate((xhat[..., :1], xhat[..., 1:] ** p, cross), axis=-1)
 
 
 def prime_collision_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,16 +498,11 @@ def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> Verifica
     check_param("samples", samples)
     check_param("p", p)
     modulation = make_cyclic_action(p, range(p))
-    worst = 0.0
-    for i in range(samples):
-        x = _sphere_point(_rng_for(seed, i), p)
-        fx = prime_fourier_map(p, x)
-        scale = 1.0 + float(np.linalg.norm(fx))
-        for image in orbit(modulation, x)[1:]:
-            worst = max(worst, float(np.linalg.norm(prime_fourier_map(p, image) - fx)) / scale)
+    worst, _ = _orbit_deviation(modulation, lambda u: prime_fourier_map(p, u),
+                                samples, seed, 2 * p - 2)
     x, y = prime_collision_pair(p)
     map_gap = float(np.linalg.norm(prime_fourier_map(p, x) - prime_fourier_map(p, y)))
-    orbit_gap = quotient_distance(modulation, x, y)
+    orbit_gap = float(quotient_distance(modulation, x, y))
     # exhaustive orbit check: y must not appear in the orbit of x
     same_orbit = bool(np.any(np.all(np.isclose(orbit(modulation, x), y), axis=1)))
     passed = (worst <= INVARIANCE_TOL and map_gap <= INVARIANCE_TOL

@@ -19,23 +19,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import (TRANSLATION, CyclicAction, as_signal, as_signals, dft,
-                     to_fourier_domain)
+from .action import TRANSLATION, CyclicAction, as_signals, dft, to_fourier_domain
 from .errors import DataError, DimensionError, ParameterError
 from .invariants import SeparatingSet, is_homogeneous, separating_set
 
 __all__ = [
     "Reducer", "Pipeline", "LipschitzBound",
-    "make_reducer", "reducer_to_json", "reducer_from_json",
-    "eval_invariants", "eval_gradient", "operator_norm",
+    "make_reducer", "eval_invariants", "eval_partials", "eval_gradient", "operator_norm",
     "make_pipeline", "auto_target_dim", "measure", "embed", "embed_monomial_domain",
-    "lipschitz_bound",
-    "ZERO_NORM_THRESHOLD",
+    "lipschitz_bound", "blocks",
+    "ZERO_NORM_THRESHOLD", "BLOCK_BYTES",
 ]
 
 # Inputs with norm below this are mapped to exactly zero (underflow guard;
 # far below any meaningful signal scale).
 ZERO_NORM_THRESHOLD = 1e-300
+
+# Byte size of the largest temporary array of a batch evaluation: rows, and the
+# suites' samples, go in blocks of this size, so memory does not grow with S.
+BLOCK_BYTES = 256 * 1024
 
 GAUSSIAN = "gaussian"
 IDENTITY = "identity"
@@ -85,15 +87,6 @@ def make_reducer(N: int, k: int, seed: int = 0, kind: str = GAUSSIAN) -> Reducer
     return Reducer(rows=k, cols=N, seed=int(seed), kind=kind, entries=entries)
 
 
-def reducer_to_json(reducer: Reducer) -> dict:
-    return {"k": reducer.rows, "N": reducer.cols,
-            "seed": reducer.seed, "kind": reducer.kind}
-
-
-def reducer_from_json(doc: dict) -> Reducer:
-    return make_reducer(doc["N"], doc["k"], doc["seed"], doc["kind"])
-
-
 def operator_norm(reducer) -> float:
     """Largest singular value, from the top eigenvalue of the smaller Gram matrix.
 
@@ -120,6 +113,12 @@ def operator_norm(reducer) -> float:
 
 # --- evaluation of the invariant map and its gradient -------------------------
 
+def blocks(count: int, width: int):
+    """Slices of ``range(count)`` of about BLOCK_BYTES of ``width``-value complex rows."""
+    step = max(1, BLOCK_BYTES // (16 * width))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 def eval_invariants(sset: SeparatingSet, x) -> np.ndarray:
     """Evaluate all separating monomials at x, in canonical order.
 
@@ -127,27 +126,37 @@ def eval_invariants(sset: SeparatingSet, x) -> np.ndarray:
     ``(N,)`` or ``(S, N)``, each row bit-identical to evaluating it alone.
     """
     x = as_signals(x, sset.n)
-    si, se, pj, pk, pa, pb = sset.index_arrays
-    return np.concatenate((x.take(si, axis=-1) ** se,
-                           x.take(pj, axis=-1) ** pa * x.take(pk, axis=-1) ** pb),
-                          axis=-1)
+    first, first_exp, second, second_exp = sset.index_arrays
+    values = x.take(first, axis=-1) ** first_exp
+    values[..., sset.n:] *= x.take(second, axis=-1) ** second_exp
+    return values
+
+
+def eval_partials(sset: SeparatingSet, x) -> tuple[np.ndarray, np.ndarray]:
+    """The holomorphic partials that can be nonzero: ``d_first`` ``(..., N)``,
+    each monomial's in its first variable, and ``d_second`` ``(..., N - n)``,
+    each pair's in its second variable (see ``SeparatingSet.index_arrays``)."""
+    x = as_signals(x, sset.n)
+    first, a, second, b = sset.index_arrays
+    x1, x2 = x.take(first, axis=-1), x.take(second, axis=-1)
+    d_first = a * x1 ** (a - 1)
+    d_first[..., sset.n:] *= x2 ** b
+    # clip the exponent before multiplying by b so b = 0 yields 0, not 0*inf
+    d_second = b * x1[..., sset.n:] ** a[sset.n:] * x2 ** np.maximum(b - 1, 0)
+    return d_first, d_second
 
 
 def eval_gradient(sset: SeparatingSet, x) -> np.ndarray:
-    """Analytic holomorphic partials of every monomial, as an (N, n) matrix.
-
-    Row r, column c holds d(monomial_r)/d(x_c). A zero exponent contributes
-    a zero partial (the b = 0 degenerate pairs have no x_k dependence).
-    """
-    x = as_signal(x, sset.n)
-    si, se, pj, pk, pa, pb = sset.index_arrays
-    jac = np.zeros((sset.size, sset.n), dtype=np.complex128)
-    rows_s = np.arange(sset.n)
-    jac[rows_s, si] = se * x[si] ** (se - 1)
-    rows_p = np.arange(sset.n, sset.size)
-    jac[rows_p, pj] = pa * x[pj] ** (pa - 1) * x[pk] ** pb
-    # clip the exponent before multiplying by b so b = 0 yields 0, not 0*inf
-    jac[rows_p, pk] = pb * x[pj] ** pa * x[pk] ** np.maximum(pb - 1, 0)
+    """Analytic holomorphic partials of every monomial: ``(N, n)`` for one
+    signal, ``(S, N, n)`` for a batch, scattered from :func:`eval_partials`;
+    row r, column c holds d(monomial_r)/d(x_c)."""
+    x = as_signals(x, sset.n)
+    first, _, second, _ = sset.index_arrays
+    d_first, d_second = eval_partials(sset, x)
+    jac = np.zeros(x.shape[:-1] + (sset.size, sset.n), dtype=np.complex128)
+    rows = np.arange(sset.size)
+    jac[..., rows, first] = d_first
+    jac[..., rows[sset.n:], second] = d_second
     return jac
 
 
@@ -214,8 +223,12 @@ def _to_monomial_domain(pipeline: Pipeline, x) -> np.ndarray:
 
 
 def _reduce(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
-    # H(u) = (l o F)(u), the one reducer product for a signal or a batch
-    return eval_invariants(pipeline.sset, u) @ pipeline.reducer.entries.T
+    # H(u) = (l o F)(u) for a signal or a batch, one block of rows at a time
+    rows = u.reshape(-1, u.shape[-1])
+    out = np.empty((len(rows), pipeline.target_dim), dtype=np.complex128)
+    for block in blocks(len(rows), pipeline.sset.size):
+        out[block] = eval_invariants(pipeline.sset, rows[block]) @ pipeline.reducer.entries.T
+    return out.reshape(u.shape[:-1] + (pipeline.target_dim,))
 
 
 def measure(pipeline: Pipeline, x) -> np.ndarray:
@@ -233,20 +246,10 @@ def embed_monomial_domain(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
 
     Computes ||u|| H(u/||u||), and exactly zero below ZERO_NORM_THRESHOLD.
     """
-    if u.ndim == 1:
-        # the scalar (BLAS dot) norm: one signal keeps its last bits
-        nrm = float(np.linalg.norm(u))
-        if nrm < ZERO_NORM_THRESHOLD:
-            return np.zeros(pipeline.target_dim, dtype=np.complex128)
-        zero = None
-    else:
-        nrm = np.linalg.norm(u, axis=-1, keepdims=True)
-        zero = nrm < ZERO_NORM_THRESHOLD
-        nrm[zero] = 1.0  # zero rows are evaluated at u itself, then zeroed
-    phi = nrm * _reduce(pipeline, u / nrm)
-    if zero is not None:
-        phi[zero[:, 0]] = 0.0
-    return phi
+    nrm = np.linalg.norm(u, axis=-1, keepdims=True)
+    zero = nrm < ZERO_NORM_THRESHOLD
+    nrm[zero] = 1.0  # zero rows are evaluated at u itself, then zeroed
+    return np.where(zero, 0.0, nrm * _reduce(pipeline, u / nrm))
 
 
 def embed(pipeline: Pipeline, x) -> np.ndarray:

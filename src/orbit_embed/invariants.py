@@ -98,30 +98,20 @@ class SeparatingSet:
         return self.monomials[self.n:]
 
     @property
-    def degenerate_pairs(self) -> tuple[PairMonomial, ...]:
-        """Pair monomials with b = 0 (kept for fidelity; harmless under a
-        generic reducer)."""
-        return tuple(p for p in self.pairs if p.degenerate)
-
-    @property
     def orders(self) -> tuple[int, ...]:
         """Per-coordinate orders m_i (exponents of the power monomials)."""
         return tuple(s.exp for s in self.singles)
 
     @cached_property
     def index_arrays(self) -> tuple[np.ndarray, ...]:
-        """``(si, se, pj, pk, pa, pb)``: 0-based coordinate indices and
-        exponents of the power and pair monomials, in canonical order.
-
-        Stored on the instance: a cache keyed by the set would hash all
-        n(n+1)/2 monomials on every lookup.
-        """
-        return (np.array([s.i - 1 for s in self.singles], dtype=np.intp),
-                np.array([s.exp for s in self.singles], dtype=np.int64),
-                np.array([p.j - 1 for p in self.pairs], dtype=np.intp),
-                np.array([p.k - 1 for p in self.pairs], dtype=np.intp),
-                np.array([p.a for p in self.pairs], dtype=np.int64),
-                np.array([p.b for p in self.pairs], dtype=np.int64))
+        """``(first, first_exp, second, second_exp)``: the 0-based index and
+        exponent of each monomial's first variable (x_i of a power, x_j of a
+        pair), then of each pair's x_k. Stored on the instance: a cache keyed
+        by the set would hash all n(n+1)/2 monomials on every lookup."""
+        first = [(s.i - 1, s.exp) for s in self.singles] + [(p.j - 1, p.a) for p in self.pairs]
+        second = [(p.k - 1, p.b) for p in self.pairs]
+        return (*np.array(first, dtype=np.int64).reshape(-1, 2).T,
+                *np.array(second, dtype=np.int64).reshape(-1, 2).T)
 
 
 def coordinate_order(m: int, e: int) -> int:
@@ -138,15 +128,16 @@ def pair_exponents(m: int, e_j: int, e_k: int) -> tuple[int, int]:
 
     Returns the minimal a >= 1 such that some 0 <= b < m_k makes
     ``a*e_j + b*e_k`` divisible by m, and for that a the smallest such b.
-    The search is exhaustive over a in 1..m and b in 0..m_k-1; a solution
-    always exists since (m_j, 0) qualifies. b = 0 marks a degenerate pair.
+    The multiples of e_k mod m are the multiples of g = gcd(e_k, m), so a is
+    the least multiple of g / gcd(e_j, g), and b solves
+    ``b * (e_k/g) = -a*e_j/g (mod m_k)`` with m_k = m/g, where e_k/g is
+    invertible. b = 0 marks a degenerate pair.
     """
-    m_k = coordinate_order(m, e_k)
-    for a in range(1, m + 1):
-        for b in range(m_k):
-            if (a * e_j + b * e_k) % m == 0:
-                return a, b
-    raise AssertionError("unreachable: a = m_j, b = 0 always satisfies the congruence")
+    g = math.gcd(e_k, m)
+    a = g // math.gcd(e_j, g)
+    m_k = m // g
+    b = -(a * e_j // g) * pow(e_k // g, -1, m_k) % m_k if m_k > 1 else 0
+    return a, b
 
 
 def separating_set(action: CyclicAction) -> SeparatingSet:

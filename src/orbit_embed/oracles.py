@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .action import CyclicAction, act, as_signal
+from .action import CyclicAction, act, as_signals
 from .embed import eval_gradient, eval_invariants
 from .invariants import SeparatingSet
 
@@ -28,7 +28,7 @@ def finite_difference_gradient(sset: SeparatingSet, x, step: float = 1e-6) -> np
     averaged Wirtinger combination is returned. All n steps of one kind are
     evaluated as one batch.
     """
-    x = as_signal(x, sset.n)
+    x = as_signals(x, sset.n).reshape(sset.n)  # one signal
     steps = step * np.eye(sset.n, dtype=np.complex128)  # row i steps coordinate i
     d_re = (eval_invariants(sset, x + steps) - eval_invariants(sset, x - steps)) / (2 * step)
     steps *= 1j
@@ -44,7 +44,7 @@ def gradient_discrepancy(sset: SeparatingSet, x, step: float = 1e-6) -> float:
 
 def same_orbit(action: CyclicAction, x, y, tol: float = 1e-9) -> bool:
     """Exhaustively test whether some group element maps y onto x."""
-    x = as_signal(x, action.n)
+    x = as_signals(x, action.n).reshape(action.n)  # one signal
     return any(
         bool(np.linalg.norm(x - act(action, k, y)) <= tol)
         for k in range(action.m))
@@ -52,7 +52,7 @@ def same_orbit(action: CyclicAction, x, y, tol: float = 1e-9) -> bool:
 
 def exhaustive_orbit_distance(action: CyclicAction, x, y) -> float:
     """Quotient distance by per-element enumeration (definitional route)."""
-    x = as_signal(x, action.n)
+    x = as_signals(x, action.n).reshape(action.n)  # one signal
     return min(
         float(np.linalg.norm(x - act(action, k, y)))
         for k in range(action.m))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from orbit_embed import (DimensionError, FormError, ParameterError, act, dft,
                          idft, make_cyclic_action, make_translation_action,
                          orbit, quotient_distance, to_fourier_domain)
+from orbit_embed.oracles import exhaustive_orbit_distance
 
 from conftest import unit_vector
 
@@ -42,6 +43,13 @@ class TestMakeCyclicAction:
     def test_zero_order_rejected(self):
         with pytest.raises(ParameterError):
             make_cyclic_action(0, [1])
+
+    @pytest.mark.parametrize("m", [2**63, 10**400])
+    def test_order_beyond_int64_rejected(self, m):
+        # exponents are stored as int64; 2**63 - 1 is the largest order
+        with pytest.raises(ParameterError, match="2\\*\\*63"):
+            make_cyclic_action(m, [1])
+        assert make_cyclic_action(2**63 - 1, [1]).m == 2**63 - 1
 
 
 class TestAct:
@@ -125,6 +133,41 @@ class TestQuotientDistance:
         orb = orbit(z12_action, x)
         assert orb.shape == (12, 5)
         np.testing.assert_array_equal(orb[0], x)
+
+
+class TestBatch:
+    """(S, n) input gives the rows that one (n,) call per row gives."""
+
+    @pytest.fixture(scope="class", params=["z12_action", "translation_action"])
+    def action(self, request):
+        return request.getfixturevalue(request.param)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_per_row_calls(self, action, data):
+        S = data.draw(st.integers(0, 12), label="S")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, y = (rng.standard_normal((S, action.n)) + 1j * rng.standard_normal((S, action.n))
+                for _ in range(2))
+        y *= (10.0 ** rng.uniform(-3, 3, size=S))[:, None]
+        k = data.draw(st.integers(-20, 20), label="k")
+        ks = rng.integers(-20, 20, size=S)
+        orbits, moved, moved_per_row = orbit(action, x), act(action, k, x), act(action, ks, x)
+        d = quotient_distance(action, x, y)
+        assert orbits.shape == (S, action.m, action.n) and d.shape == (S,)
+        for i in range(S):
+            np.testing.assert_array_equal(orbits[i], orbit(action, x[i]))
+            np.testing.assert_array_equal(moved[i], act(action, k, x[i]))
+            np.testing.assert_array_equal(moved_per_row[i], act(action, ks[i], x[i]))
+            assert d[i] == quotient_distance(action, x[i], y[i])
+            assert d[i] == pytest.approx(exhaustive_orbit_distance(action, x[i], y[i]),
+                                         rel=1e-12)
+
+    def test_one_power_per_row_is_checked(self, action):
+        with pytest.raises(DimensionError):
+            act(action, [1, 2], np.ones((3, action.n)))
+        with pytest.raises(DimensionError):
+            act(action, [1, 2], np.ones(action.n))
 
 
 class TestDft:

@@ -1,3 +1,5 @@
+import importlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from orbit_embed import (HypothesisError, ParameterError, act,
                          prime_case_report, prime_collision_pair,
                          prime_fourier_map, quotient_distance,
                          separation_margin, sup_norm_check, tilde_rescale)
+from orbit_embed.analysis import _rng_for, _sphere_point
 
 from conftest import unit_vector
 
@@ -303,3 +306,71 @@ class TestBoundConsistency:
         for pipeline in (minus_identity_pipeline, z12_pipeline, translation_pipeline):
             report = empirical_lipschitz(pipeline, samples=500, seed=21)
             assert report.statistic <= lipschitz_bound(pipeline).bound * (1 + 1e-9)
+
+
+class TestWorstCaseReplay:
+    """Each reported worst case, recomputed from its sample index with
+    single-signal calls, gives the reported statistic: the blocked suites
+    keep the index of the sample they report."""
+
+    @pytest.fixture(scope="class", params=["z12_pipeline", "translation_pipeline"])
+    def pipeline(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def pair(seed, sample, n):
+        rng = _rng_for(seed, sample)
+        return _sphere_point(rng, n), _sphere_point(rng, n)
+
+    def test_lipschitz(self, pipeline):
+        report = empirical_lipschitz(pipeline, samples=2000, seed=7)
+        rng = _rng_for(7, report.cases[0]["sample"])
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        x, y = (s * _sphere_point(rng, pipeline.action.n) for s in scales)
+        ratio = (np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))
+                 / quotient_distance(pipeline.action, x, y))
+        assert ratio == pytest.approx(report.statistic, rel=1e-12)
+
+    def test_separation(self, pipeline):
+        report = separation_margin(pipeline, samples=400, delta=0.1, seed=7)
+        x, y = self.pair(7, report.cases[0]["sample"], pipeline.action.n)
+        assert quotient_distance(pipeline.action, x, y) >= 0.1
+        margin = np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))
+        assert margin == pytest.approx(report.statistic, rel=1e-12)
+
+    def test_nonparallel(self, pipeline):
+        report = nonparallel_falsification(pipeline, samples=1200, delta=0.1, seed=7)
+        x, y = self.pair(7, report.cases[0]["sample"], pipeline.action.n)
+        hx, hy = measure(pipeline, x), measure(pipeline, y)
+        lam = max(float(np.real(np.vdot(hy, hx))) / np.linalg.norm(hy) ** 2, 0.0)
+        assert lam == pytest.approx(report.cases[0]["lambda"], rel=1e-12)
+        resid = np.linalg.norm(hx - lam * hy)
+        assert resid == pytest.approx(report.statistic, rel=1e-12)
+
+
+SAMPLING_SUITES = {
+    "invariance": lambda p, samples: check_invariance(p, samples, seed=7),
+    "separation": lambda p, samples: separation_margin(p, samples, 0.1, seed=7),
+    "lipschitz": lambda p, samples: empirical_lipschitz(p, samples, seed=7),
+    "nonparallel": lambda p, samples: nonparallel_falsification(p, samples, 0.1, seed=7),
+    "sup_norm": lambda p, samples: sup_norm_check(p.sset, samples, seed=7),
+    "prime": lambda p, samples: prime_case_report(5, samples, seed=7),
+}
+
+
+@pytest.mark.parametrize("suite", SAMPLING_SUITES)
+def test_memory_does_not_grow_with_samples(z12_pipeline, monkeypatch, suite):
+    # blocks a quarter of the shipped size, so that S = 300 fills a block of
+    # every suite and the run stays short
+    monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 64 * 1024)
+    run = SAMPLING_SUITES[suite]
+    run(z12_pipeline, 1)  # builds the cached tables
+    peaks = []
+    for samples in (300, 3000):
+        tracemalloc.start()
+        try:
+            run(z12_pipeline, samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks

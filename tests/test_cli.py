@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 import warnings
 
 import numpy as np
@@ -383,6 +384,44 @@ class TestMonomialsCommand:
         assert main(["monomials", "--config", config, "--stdout"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["m"] == 12
+
+
+class TestGroupOrder:
+    """An order whose exponents do not fit int64 exits 2 in every command that
+    builds the pipeline; large orders that fit build without a search."""
+
+    @staticmethod
+    def config(tmp_path, m, weights=(1,)):
+        doc = {"action": {"m": m, "weights": list(weights)}, "out": str(tmp_path / "out")}
+        return write_config(tmp_path, doc)
+
+    @pytest.mark.parametrize("m", [2**63, 10**400])
+    def test_monomials_refuses(self, tmp_path, capsys, m):
+        assert main(["monomials", "--config", self.config(tmp_path, m)]) == 2
+        assert "2**63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [2**63, 10**400])
+    def test_verify_refuses(self, tmp_path, capsys, m):
+        assert main(["verify", "--config", self.config(tmp_path, m)]) == 2
+        assert "2**63" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("m", [2**63, 10**400])
+    def test_embed_refuses(self, tmp_path, capsys, m):
+        sigs = tmp_path / "sigs.json"
+        sigs.write_text(json.dumps([[[1, 0]]]))
+        assert main(["embed", "--config", self.config(tmp_path, m),
+                     "--signals", str(sigs)]) == 2
+        assert "2**63" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_large_order_builds_promptly(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["monomials", "--config", self.config(tmp_path, 10**9, (1, 2)),
+                     "--stdout"]) == 0
+        assert time.perf_counter() - start < 5.0
+        pair = json.loads(capsys.readouterr().out)["monomials"][2]
+        assert pair == {"kind": "pair", "j": 1, "k": 2, "a": 2, "b": 499_999_999}
 
 
 class TestEmbedCommand:

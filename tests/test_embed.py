@@ -7,7 +7,7 @@ from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          auto_target_dim, embed, eval_gradient,
                          eval_invariants, lipschitz_bound, make_cyclic_action,
                          make_pipeline, make_reducer, measure, operator_norm,
-                         reducer_from_json, reducer_to_json, separating_set)
+                         separating_set)
 from orbit_embed.oracles import finite_difference_gradient, svd_operator_norm
 
 from conftest import unit_vector
@@ -93,12 +93,6 @@ class TestMakeReducer:
     def test_no_padding(self):
         with pytest.raises(ParameterError):
             make_reducer(5, 7)
-
-    def test_json_round_trip_regenerates_entries(self):
-        r = make_reducer(15, 11, seed=42)
-        doc = reducer_to_json(r)
-        assert doc == {"k": 11, "N": 15, "seed": 42, "kind": "gaussian"}
-        np.testing.assert_array_equal(reducer_from_json(doc).entries, r.entries)
 
     def test_unit_expected_square_modulus(self):
         r = make_reducer(200, 150, seed=0)
@@ -224,6 +218,10 @@ class TestBatch:
         assert values.shape == (len(x), N)
         for row, xi in zip(values, x):
             np.testing.assert_array_equal(row, eval_invariants(pipeline.sset, xi))
+        jac = eval_gradient(pipeline.sset, x)
+        assert jac.shape == (len(x), N, pipeline.action.n)
+        for row, xi in zip(jac, x):
+            np.testing.assert_array_equal(row, eval_gradient(pipeline.sset, xi))
         for fn in (embed, measure):
             batch = fn(pipeline, x)
             assert batch.shape == (len(x), k)
