@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, FormError, ParameterError
+from .errors import DimensionError, FormError, check_param
 
 DIAGONAL = "diagonal"
 TRANSLATION = "translation"
@@ -42,18 +42,16 @@ class CyclicAction:
 
 def make_cyclic_action(m: int, weights) -> CyclicAction:
     """Build a diagonal-form action; weights are reduced mod m on input."""
-    if not 1 <= m < 2**63:
-        raise ParameterError(f"group order must be in 1..2**63-1 (int64 exponents), got {m}")
-    weights = tuple(int(e) % m for e in weights)
-    if not weights:
+    check_param(m=m, weights=weights)
+    if not len(weights):
         raise DimensionError("weight list must be nonempty")
-    return CyclicAction(m=int(m), n=len(weights), weights=weights, form=DIAGONAL)
+    return CyclicAction(m=int(m), n=len(weights), weights=tuple(int(e) % m for e in weights),
+                        form=DIAGONAL)
 
 
 def make_translation_action(n: int) -> CyclicAction:
     """Build the circular-translation action of Z_n on C^n."""
-    if n < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {n}")
+    check_param(n=n)
     return CyclicAction(m=int(n), n=int(n), weights=tuple(range(n)), form=TRANSLATION)
 
 

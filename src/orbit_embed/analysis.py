@@ -13,15 +13,14 @@ is the first sample, in index order, that attains it.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .action import CyclicAction, act, as_signals, make_cyclic_action, orbit, quotient_distance
 from .embed import (Pipeline, blocks, embed, embed_monomial_domain,
                     eval_invariants, eval_partials, lipschitz_bound, measure)
-from .errors import HypothesisError, ParameterError
+from .errors import HypothesisError, ParameterError, check_param, is_prime
 from .invariants import PairMonomial, SeparatingSet
 
 __all__ = [
@@ -44,8 +43,15 @@ RATIO_EXCLUSION = 1e-12
 # The separation margin must exceed the same-orbit leakage by this factor.
 SEPARATION_HEADROOM = 10.0
 
+
+class _Report:
+    def to_json_dict(self) -> dict:
+        """The fields, with ``passed`` written as ``pass``."""
+        return {"pass" if key == "passed" else key: value for key, value in asdict(self).items()}
+
+
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Report):
     """Outcome of one suite: worst-case statistic against a fixed threshold."""
 
     suite: str
@@ -56,53 +62,6 @@ class VerificationReport:
     passed: bool
     cases: tuple[dict, ...] = ()
     extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "cases": list(self.cases),
-            "extra": dict(self.extra),
-        }
-
-
-def is_int(value) -> bool:
-    """An integer that is not a boolean (JSON ``true`` is not a number)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    """A real number that is not a boolean."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-# Suite parameter name -> (type and range check given the action's dimension
-# n, the rule). The suites and the config loader both check through check_param.
-PARAMS = {
-    "samples": (lambda v, n: is_int(v) and v >= 1, "must be an integer >= 1"),
-    "p": (lambda v, n: is_int(v) and v >= 5 and _is_prime(v), "must be a prime integer >= 5"),
-    "delta": (lambda v, n: is_real(v) and 0.0 < v < 2.0, "must be a real number in (0, 2)"),
-    "epsilons": (lambda v, n: isinstance(v, (list, tuple)) and bool(v)
-                 and all(is_real(e) and 0.0 < e <= 0.5 for e in v)
-                 and all(b < a for a, b in zip(v, v[1:])),
-                 "must be a nonempty, strictly decreasing list of real numbers in (0, 0.5]"),
-    "witness": (lambda v, n: v is None or (isinstance(v, (list, tuple)) and len(v) == 2
-                                           and all(map(is_int, v)) and 0 <= min(v)
-                                           and max(v) < n and v[0] != v[1]),
-                "must be null or two distinct integer coordinates in 0..{n}-1"),
-}
-
-
-def check_param(name: str, value, n: int | None = None) -> None:
-    """Raise ParameterError, naming the parameter and its rule, when the value
-    has the wrong type or is out of range."""
-    valid, message = PARAMS[name]
-    if not valid(value, n):
-        raise ParameterError(f"{name} {message.format(n=n)}, got {value!r}")
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -155,7 +114,7 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
     The zero signal is always included as a forced case; its embeddings must
     vanish exactly, not merely be small.
     """
-    check_param("samples", samples)
+    check_param(samples=samples, seed=seed)
     action = pipeline.action
     zero = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
     worst, case = _orbit_deviation(action, lambda u: embed(pipeline, u), samples, seed,
@@ -176,8 +135,7 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     same-orbit leakage (which must itself stay below 1e-10) by a factor of
     ``SEPARATION_HEADROOM``.
     """
-    check_param("delta", delta)
-    check_param("samples", samples)
+    check_param(delta=delta, samples=samples, seed=seed)
     action = pipeline.action
     n, m = action.n, action.m
     margin = math.inf
@@ -217,7 +175,7 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
     proven constant 3*m*||l|| (up to 1e-9 relative slack for rounding). The
     observed maximum is also the empirical Lipschitz estimate.
     """
-    check_param("samples", samples)
+    check_param(samples=samples, seed=seed)
     action = pipeline.action
     n = action.n
     bound = lipschitz_bound(pipeline)
@@ -258,8 +216,7 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
     the fixed point lambda* = 1 with vanishing residual. Pairs with
     ||H(y)|| = 0 are counted separately, never divided through.
     """
-    check_param("delta", delta)
-    check_param("samples", samples)
+    check_param(delta=delta, samples=samples, seed=seed)
     action = pipeline.action
     n, m = action.n, action.m
     min_residual = math.inf
@@ -308,7 +265,7 @@ def sup_norm_check(sset: SeparatingSet, samples: int, seed: int = 0) -> Verifica
     At unit points each monomial has modulus at most 1 and each holomorphic
     partial has modulus at most the group order m.
     """
-    check_param("samples", samples)
+    check_param(samples=samples, seed=seed)
     m = sset.action.m
     max_component = 0.0
     max_partial = 0.0
@@ -347,7 +304,7 @@ def tilde_rescale(sset: SeparatingSet, y, lam: float) -> np.ndarray:
 # --- lower-Lipschitz degeneration sweep ----------------------------------------
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Report):
     """Ratio ||Phi(x_eps)-Phi(x)|| / d([x_eps],[x]) along a shrinking witness.
 
     The embedding difference is O(eps^2) while the orbit distance is
@@ -365,25 +322,7 @@ class SweepResult:
     support_index: int
     perturb_index: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": "lower_lipschitz_sweep",
-            "epsilons": list(self.epsilons),
-            "quotient_distances": list(self.quotient_distances),
-            "embedding_gaps": list(self.embedding_gaps),
-            "ratios": list(self.ratios),
-            "slope": self.slope,
-            "residual": self.residual,
-            "support_index": self.support_index,
-            "perturb_index": self.perturb_index,
-            "pass": self.passed,
-        }
-
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        """(epsilon, quotient distance, embedding gap, ratio) per epsilon."""
-        return list(zip(self.epsilons, self.quotient_distances,
-                        self.embedding_gaps, self.ratios))
+    suite: str = "lower_lipschitz_sweep"
 
 
 def find_degeneration_witness(sset: SeparatingSet) -> tuple[int, int, PairMonomial]:
@@ -420,8 +359,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
         raise HypothesisError(
             f"degeneration requires group order and dimension >= 3, "
             f"got m={diag.m}, n={diag.n}")
-    check_param("epsilons", epsilons)
-    check_param("witness", witness, diag.n)
+    check_param(epsilons=epsilons, witness=witness, dim=diag.n)
     eps = [float(e) for e in epsilons]
     if witness is None:
         support, perturb, _ = find_degeneration_witness(pipeline.sset)
@@ -455,12 +393,6 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
 
 # --- the prime-case introductory map and its separation failure ----------------
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(math.isqrt(p)) + 1))
-
-
 def prime_fourier_map(p: int, xhat) -> np.ndarray:
     """The naive Fourier-domain invariant map for prime p.
 
@@ -470,7 +402,7 @@ def prime_fourier_map(p: int, xhat) -> np.ndarray:
     but fails to separate orbits whenever xhat_1 = 0, which is why the full
     separating set is needed.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
     xhat = as_signals(xhat, p)
     cross = xhat[..., 1:2] ** np.arange(p - 2, 0, -1) * xhat[..., 2:]
@@ -484,8 +416,7 @@ def prime_collision_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
     has its second free coefficient rotated by a p-th root of unity. All map
     coordinates that could see the rotation contain the vanishing xhat_1.
     """
-    if p < 5:
-        raise ParameterError("the collision construction needs p >= 5")
+    check_param(p=p)
     x = np.zeros(p, dtype=np.complex128)
     x[2:] = 1.0
     y = x.copy()
@@ -495,8 +426,7 @@ def prime_collision_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> VerificationReport:
     """Demonstrate that the prime-case map is invariant yet non-separating."""
-    check_param("samples", samples)
-    check_param("p", p)
+    check_param(samples=samples, p=p, seed=seed)
     modulation = make_cyclic_action(p, range(p))
     worst, _ = _orbit_deviation(modulation, lambda u: prime_fourier_map(p, u),
                                 samples, seed, 2 * p - 2)

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import analysis, oracles
 from .action import make_cyclic_action, make_translation_action
-from .analysis import is_int, is_real
 from .embed import Pipeline, embed, make_pipeline, operator_norm
-from .errors import DataError, OrbitEmbedError, ParameterError
+from .errors import DataError, OrbitEmbedError, ParameterError, check_param, is_real
 from .invariants import separating_set_to_json
 
 
@@ -121,6 +120,15 @@ def _object(value, path: str, known) -> dict:
     return value
 
 
+def _param(path: str, name: str, value, n: int | None = None):
+    # the value, once it passes the rule errors.PARAMS[name]; a ConfigError naming the field if not
+    try:
+        check_param(dim=n, **{name: value})
+    except ParameterError as exc:
+        raise ConfigError(f"config field {path!r}: {exc}") from exc
+    return value
+
+
 # The keys of each action form; a missing form is diagonal.
 ACTION_KEYS = {"diagonal": {"form", "m", "weights"}, "translation": {"form", "n"}}
 
@@ -135,29 +143,18 @@ def config_from_dict(doc: dict) -> RunConfig:
             'must be "diagonal" or "translation"')
     _object(raw_action, "action", ACTION_KEYS[form])
     if form == "translation":
-        n = raw_action.get("n")
-        _expect(is_int(n) and n >= 1, "action.n", "must be a positive integer")
+        n = _param("action.n", "n", raw_action.get("n"))
         action = {"form": "translation", "n": n}
     else:
-        m = raw_action.get("m")
-        _expect(is_int(m) and m >= 1, "action.m", "must be a positive integer")
-        weights = raw_action.get("weights")
-        _expect(isinstance(weights, list) and weights and all(map(is_int, weights)),
-                "action.weights", "must be a nonempty list of integers")
+        m = _param("action.m", "m", raw_action.get("m"))
+        weights = _param("action.weights", "weights", raw_action.get("weights"))
+        n = _param("action.weights", "n", len(weights))
         action = {"m": m, "weights": list(weights)}
-        n = len(weights)
 
-    target_dim = doc.get("target_dim", "auto")
-    _expect(target_dim == "auto" or (is_int(target_dim) and target_dim >= 1),
-            "target_dim", 'must be "auto" or a positive integer')
-
+    target_dim = _param("target_dim", "target_dim", doc.get("target_dim", "auto"), n)
     reducer = _object(doc.get("reducer", {}), "reducer", {"kind", "seed"})
-    kind = reducer.get("kind", "auto")
-    _expect(kind in ("auto", "gaussian", "identity"), "reducer.kind",
-            'must be one of "auto", "gaussian", "identity"')
-    reducer_seed = reducer.get("seed", 0)
-    _expect(is_int(reducer_seed) and reducer_seed >= 0,
-            "reducer.seed", "must be a nonnegative integer")
+    kind = _param("reducer.kind", "kind", reducer.get("kind", "auto"))
+    reducer_seed = _param("reducer.seed", "seed", reducer.get("seed", 0))
 
     raw_suites = _object(doc.get("suites", {name: {} for name in DEFAULT_SUITES}),
                          "suites", SUITES)
@@ -167,14 +164,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             continue
         params = _object(raw_suites[name], f"suites.{name}", suite.defaults)
         for key, value in params.items():
-            try:
-                analysis.check_param(key, value, n)
-            except ParameterError as exc:
-                raise ConfigError(f"config field 'suites.{name}.{key}': {exc}") from exc
+            _param(f"suites.{name}.{key}", key, value, n)
         suites[name] = {**suite.defaults, **params}
 
-    seed = doc.get("seed", 0)
-    _expect(is_int(seed) and seed >= 0, "seed", "must be a nonnegative integer")
+    seed = _param("seed", "seed", doc.get("seed", 0))
     out = doc.get("out", "reports")
     _expect(isinstance(out, str) and out, "out", "must be a nonempty string")
 
@@ -218,9 +211,8 @@ def build_pipeline(config: RunConfig) -> Pipeline:
         action = make_translation_action(config.action["n"])
     else:
         action = make_cyclic_action(config.action["m"], config.action["weights"])
-    kind = None if config.reducer_kind == "auto" else config.reducer_kind
     return make_pipeline(action, seed=config.reducer_seed,
-                         target_dim=config.target_dim, reducer_kind=kind)
+                         target_dim=config.target_dim, reducer_kind=config.reducer_kind)
 
 
 # --- signal I/O ----------------------------------------------------------------
@@ -433,7 +425,8 @@ def cmd_sweep(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "sweep.json", result.to_json_dict())
     lines = ["epsilon,quotient_distance,embedding_gap,ratio"]
-    for eps, d, gap, ratio in result.rows():
+    for eps, d, gap, ratio in zip(result.epsilons, result.quotient_distances,
+                                  result.embedding_gaps, result.ratios):
         lines.append(f"{eps!r},{d!r},{gap!r},{ratio!r}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"sweep slope {result.slope:.4f} "
@@ -456,10 +449,9 @@ def golden_fixture_values(seed: int = 7) -> dict:
         svd_norm = oracles.svd_operator_norm(pipeline.reducer.entries)
         norm = operator_norm(pipeline.reducer)
         margin_report = analysis.separation_margin(pipeline, 1000, 0.1, seed)
-        grad_err = 0.0
-        for i in range(20):
-            z = analysis._sphere_point(analysis._rng_for(seed, i), pipeline.diag.n)
-            grad_err = max(grad_err, oracles.gradient_discrepancy(pipeline.sset, z))
+        z = np.array([analysis._sphere_point(analysis._rng_for(seed, i), pipeline.diag.n)
+                      for i in range(20)])
+        grad_err = float(oracles.gradient_discrepancy(pipeline.sset, z).max())
         doc[name] = {
             "target_dim": pipeline.target_dim,
             "monomial_count": pipeline.sset.size,

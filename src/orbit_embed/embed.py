@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import TRANSLATION, CyclicAction, as_signals, dft, to_fourier_domain
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError, check_param, is_int
 from .invariants import SeparatingSet, is_homogeneous, separating_set
 
 __all__ = [
@@ -47,9 +47,9 @@ IDENTITY = "identity"
 class Reducer:
     """A k x N linear map with reproducible entries.
 
-    Entries are never serialized: they are regenerated from
-    (rows, cols, seed, kind), which guarantees bit-stable values across runs
-    of the documented generator (NumPy ``default_rng``, PCG64).
+    The entries are a pure function of (rows, cols, seed, kind): the
+    documented generator (NumPy ``default_rng``, PCG64) draws the same bits
+    on every run.
     """
 
     rows: int
@@ -66,23 +66,23 @@ def make_reducer(N: int, k: int, seed: int = 0, kind: str = GAUSSIAN) -> Reducer
     imaginary parts, each scaled by 1/sqrt(2) (unit expected squared
     modulus), drawn as ``default_rng(seed).standard_normal((2, k, N))``.
     Identity kind requires k = N and ignores the seed for entry values.
+    Kind ``"auto"`` is identity when k = N (the reduction is vacuous) and
+    gaussian otherwise.
     """
-    N, k = int(N), int(k)
-    if N < 1:
-        raise ParameterError(f"reducer needs at least one column, got N={N}")
+    check_param(seed=seed, kind=kind)
+    if not (is_int(N) and is_int(k) and 1 <= k <= N):
+        raise ParameterError(
+            f"reducer requires integer sizes 1 <= k <= N, got k={k!r}, N={N!r} "
+            "(this map only reduces; padding is unsupported)")
+    if kind == "auto":
+        kind = IDENTITY if k == N else GAUSSIAN
     if kind == GAUSSIAN:
-        if not 1 <= k <= N:
-            raise ParameterError(
-                f"gaussian reducer requires 1 <= k <= N, got k={k}, N={N} "
-                "(this map only reduces; padding is unsupported)")
         z = np.random.default_rng(seed).standard_normal((2, k, N))
         entries = (z[0] + 1j * z[1]) / math.sqrt(2)
-    elif kind == IDENTITY:
-        if k != N:
-            raise ParameterError(f"identity reducer requires k = N, got k={k}, N={N}")
-        entries = np.eye(N, dtype=np.complex128)
+    elif k != N:
+        raise ParameterError(f"identity reducer requires k = N, got k={k}, N={N}")
     else:
-        raise ParameterError(f"unknown reducer kind {kind!r}")
+        entries = np.eye(N, dtype=np.complex128)
     entries.setflags(write=False)
     return Reducer(rows=k, cols=N, seed=int(seed), kind=kind, entries=entries)
 
@@ -191,25 +191,18 @@ def auto_target_dim(action: CyclicAction, N: int) -> int:
 
 def make_pipeline(action: CyclicAction, seed: int = 0,
                   target_dim: int | str = "auto",
-                  reducer_kind: str | None = None) -> Pipeline:
+                  reducer_kind: str = "auto") -> Pipeline:
     """Assemble the full pipeline for an action.
 
-    ``target_dim="auto"`` resolves via :func:`auto_target_dim`; when the
-    resolved dimension equals N the reduction is vacuous and an identity
-    reducer is used unless a kind is forced explicitly.
+    ``target_dim="auto"`` resolves via :func:`auto_target_dim`; the reducer
+    kind ``"auto"`` is resolved by :func:`make_reducer` (identity when the
+    resolved dimension equals N, so the reduction is vacuous).
     """
+    check_param(target_dim=target_dim, kind=reducer_kind, seed=seed, dim=action.n)
     diag = to_fourier_domain(action) if action.form == TRANSLATION else action
     sset = separating_set(diag)
-    N = sset.size
-    if target_dim == "auto":
-        k = auto_target_dim(diag, N)
-    else:
-        k = int(target_dim)
-        if not 1 <= k <= N:
-            raise ParameterError(f"target dimension must be in 1..{N}, got {k}")
-    if reducer_kind is None:
-        reducer_kind = IDENTITY if k == N else GAUSSIAN
-    reducer = make_reducer(N, k, seed=seed, kind=reducer_kind)
+    k = auto_target_dim(diag, sset.size) if target_dim == "auto" else target_dim
+    reducer = make_reducer(sset.size, k, seed=seed, kind=reducer_kind)
     return Pipeline(action=action, diag=diag, sset=sset, reducer=reducer)
 
 

@@ -3,16 +3,21 @@
 These deliberately avoid the implementation paths they check: operator norms
 come from a dense SVD rather than a Gram-matrix eigenvalue, gradients from central
 finite differences rather than the analytic formulas, and orbit facts from
-plain per-element enumeration.
+plain per-element enumeration of the generator's definition (a cyclic shift,
+or phases exp(2*pi*i*k*e/m)) rather than the action's lookup tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .action import CyclicAction, act, as_signals
+from .action import TRANSLATION, CyclicAction, as_signals
 from .embed import eval_gradient, eval_invariants
 from .invariants import SeparatingSet
+
+# Central-difference step, and the distance under which two signals count as equal.
+FD_STEP = 1e-6
+SAME_ORBIT_TOL = 1e-9
 
 
 def svd_operator_norm(matrix) -> float:
@@ -20,39 +25,47 @@ def svd_operator_norm(matrix) -> float:
     return float(np.linalg.svd(np.asarray(matrix), compute_uv=False)[0])
 
 
-def finite_difference_gradient(sset: SeparatingSet, x, step: float = 1e-6) -> np.ndarray:
-    """Holomorphic partials estimated by central differences.
+def finite_difference_gradient(sset: SeparatingSet, x) -> np.ndarray:
+    """Holomorphic partials estimated by central differences: ``(N, n)`` for
+    one signal, ``(S, N, n)`` for a batch.
 
     Steps along the real and imaginary axes are taken separately; for a
     holomorphic map both give the same derivative (Cauchy-Riemann), and the
-    averaged Wirtinger combination is returned. All n steps of one kind are
-    evaluated as one batch.
+    averaged Wirtinger combination is returned. All steps of one kind are
+    evaluated as one batch, and each row is bit-identical to its one-signal call.
     """
-    x = as_signals(x, sset.n).reshape(sset.n)  # one signal
-    steps = step * np.eye(sset.n, dtype=np.complex128)  # row i steps coordinate i
-    d_re = (eval_invariants(sset, x + steps) - eval_invariants(sset, x - steps)) / (2 * step)
-    steps *= 1j
-    d_im = (eval_invariants(sset, x + steps) - eval_invariants(sset, x - steps)) / (2j * step)
-    return ((d_re + d_im) / 2).T
+    x = as_signals(x, sset.n)
+    steps = FD_STEP * np.eye(sset.n, dtype=np.complex128)  # row i steps coordinate i
+    shape = x.shape[:-1] + (sset.n, sset.size)
+    d_re, d_im = ((eval_invariants(sset, (x[..., None, :] + h).reshape(-1, sset.n))
+                   - eval_invariants(sset, (x[..., None, :] - h).reshape(-1, sset.n))
+                   ).reshape(shape) for h in (steps, 1j * steps))
+    return np.swapaxes((d_re / (2 * FD_STEP) + d_im / (2j * FD_STEP)) / 2, -1, -2)
 
 
-def gradient_discrepancy(sset: SeparatingSet, x, step: float = 1e-6) -> float:
-    """Max absolute gap between analytic and finite-difference partials."""
-    return float(np.abs(eval_gradient(sset, x)
-                        - finite_difference_gradient(sset, x, step)).max())
+def gradient_discrepancy(sset: SeparatingSet, x):
+    """Max absolute gap between analytic and finite-difference partials: a
+    float for one signal, ``(S,)`` for a batch."""
+    return np.abs(eval_gradient(sset, x) - finite_difference_gradient(sset, x)).max(axis=(-2, -1))
 
 
-def same_orbit(action: CyclicAction, x, y, tol: float = 1e-9) -> bool:
+def _orbit_images(action: CyclicAction, y):
+    # T^k y, k = 0..m-1, from the definition rather than the action's tables
+    y = as_signals(y, action.n).reshape(action.n)  # one signal
+    weights = np.array(action.weights)
+    for k in range(action.m):
+        if action.form == TRANSLATION:
+            yield np.roll(y, k)
+        else:
+            yield np.exp(2j * np.pi * (k * weights % action.m) / action.m) * y
+
+
+def same_orbit(action: CyclicAction, x, y) -> bool:
     """Exhaustively test whether some group element maps y onto x."""
-    x = as_signals(x, action.n).reshape(action.n)  # one signal
-    return any(
-        bool(np.linalg.norm(x - act(action, k, y)) <= tol)
-        for k in range(action.m))
+    return exhaustive_orbit_distance(action, x, y) <= SAME_ORBIT_TOL
 
 
 def exhaustive_orbit_distance(action: CyclicAction, x, y) -> float:
     """Quotient distance by per-element enumeration (definitional route)."""
     x = as_signals(x, action.n).reshape(action.n)  # one signal
-    return min(
-        float(np.linalg.norm(x - act(action, k, y)))
-        for k in range(action.m))
+    return min(float(np.linalg.norm(x - image)) for image in _orbit_images(action, y))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbit_embed import (DimensionError, FormError, ParameterError, act, dft,
-                         idft, make_cyclic_action, make_translation_action,
-                         orbit, quotient_distance, to_fourier_domain)
-from orbit_embed.oracles import exhaustive_orbit_distance
+from orbit_embed import (CyclicAction, DimensionError, FormError, ParameterError,
+                         act, dft, idft, make_cyclic_action,
+                         make_translation_action, orbit, quotient_distance,
+                         to_fourier_domain)
+from orbit_embed import action as action_module
+from orbit_embed.oracles import exhaustive_orbit_distance, same_orbit
 
 from conftest import unit_vector
 
@@ -50,6 +52,30 @@ class TestMakeCyclicAction:
         with pytest.raises(ParameterError, match="2\\*\\*63"):
             make_cyclic_action(m, [1])
         assert make_cyclic_action(2**63 - 1, [1]).m == 2**63 - 1
+
+    @pytest.mark.parametrize("m,weights", [
+        (12.7, [13, 1]),  # a float order would give fractional weights
+        (12, [1.5, 2]),  # a float weight would be truncated
+        (True, [5]),  # a boolean is not an order
+        (12, [1, True]),
+        (12, "12"),
+        (12, np.array([[1, 2]])),
+        (12, np.array([1.0, 2.0])),
+    ])
+    def test_non_integer_order_or_weights_rejected(self, m, weights):
+        with pytest.raises(ParameterError):
+            make_cyclic_action(m, weights)
+
+    def test_integer_arrays_and_ranges_accepted(self):
+        assert make_cyclic_action(np.int64(12), np.array([6, -3])).weights == (6, 9)
+        assert make_cyclic_action(5, range(5)).weights == (0, 1, 2, 3, 4)
+
+
+class TestMakeTranslationAction:
+    @pytest.mark.parametrize("n", [8.5, True, 0, -3, "8"])
+    def test_non_positive_integer_rejected(self, n):
+        with pytest.raises(ParameterError):
+            make_translation_action(n)
 
 
 class TestAct:
@@ -223,3 +249,32 @@ class TestToFourierDomain:
             y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             assert quotient_distance(translation, x, y) == pytest.approx(
                 quotient_distance(modulation, dft(x), dft(y)), abs=1e-10)
+
+
+class TestOrbitOracle:
+    """The oracle builds T^k y from the generator's definition, so a fault in
+    the action's lookup tables shows as a disagreement."""
+
+    @pytest.fixture
+    def pair(self, z12_action, rng):
+        x = unit_vector(rng, 5)
+        return x, act(z12_action, 5, x)  # one orbit
+
+    def test_agrees_with_the_tables(self, z12_action, pair):
+        assert quotient_distance(z12_action, *pair) == pytest.approx(0.0, abs=1e-12)
+        assert exhaustive_orbit_distance(z12_action, *pair) == pytest.approx(0.0, abs=1e-12)
+        assert same_orbit(z12_action, *pair)
+
+    def test_sees_weights_off_by_one_in_the_phase_table(self, z12_action, pair, monkeypatch):
+        table = action_module._phase_table
+
+        def off_by_one(action):
+            return table(CyclicAction(m=action.m, n=action.n, form=action.form,
+                                      weights=tuple((e + 1) % action.m for e in action.weights)))
+
+        monkeypatch.setattr(action_module, "_phase_table", off_by_one)
+        mutant = quotient_distance(z12_action, *pair)
+        oracle = exhaustive_orbit_distance(z12_action, *pair)
+        assert oracle == pytest.approx(0.0, abs=1e-12)
+        assert same_orbit(z12_action, *pair)
+        assert abs(mutant - oracle) > 0.1

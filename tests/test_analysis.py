@@ -63,6 +63,29 @@ def test_parameter_of_wrong_type_raises_parameter_error(z12_pipeline, run):
         run(z12_pipeline)
 
 
+SEEDED_SUITES = {
+    "invariance": lambda p, seed: check_invariance(p, 2, seed),
+    "separation": lambda p, seed: separation_margin(p, 2, 0.1, seed),
+    "lipschitz": lambda p, seed: empirical_lipschitz(p, 2, seed),
+    "nonparallel": lambda p, seed: nonparallel_falsification(p, 2, 0.1, seed),
+    "sup_norm": lambda p, seed: sup_norm_check(p.sset, 2, seed),
+    "prime": lambda p, seed: prime_case_report(5, 2, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+@pytest.mark.parametrize("suite", SEEDED_SUITES)
+def test_seed_of_wrong_type_or_range_raises_parameter_error(z12_pipeline, suite, seed):
+    # numpy's own errors before; a boolean seed ran and was reported as true
+    with pytest.raises(ParameterError, match="seed"):
+        SEEDED_SUITES[suite](z12_pipeline, seed)
+
+
+@pytest.mark.parametrize("suite", SEEDED_SUITES)
+def test_integer_seeds_accepted(z12_pipeline, suite):
+    assert SEEDED_SUITES[suite](z12_pipeline, np.int64(3)) == SEEDED_SUITES[suite](z12_pipeline, 3)
+
+
 class TestSeparationMargin:
     def test_hand_pair(self, minus_identity_pipeline):
         # distinct orbits (1,0) and (0,1): embeddings (1,0,0) and (0,1,0)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orbit_embed.cli import (ConfigError, config_from_dict,
+from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
-from orbit_embed.errors import DataError
+from orbit_embed.errors import DataError, ParameterError
 
 Z12_CONFIG = {
     "action": {"m": 12, "weights": [6, 3, 4, 2, 2]},
@@ -110,6 +110,25 @@ class TestRunConfig:
     def test_diagnostics_name_the_field(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"action": {"m": 12, "weights": [6, 3, 4, 2, 2]}, "target_dim": 99}, "target_dim"),
+        ({"action": {"form": "translation", "n": 8}, "target_dim": 37}, "target_dim"),
+        ({"action": {"m": 2**63, "weights": [1]}}, "action.m"),
+        ({"action": {"m": 12, "weights": [1.5]}}, "action.weights"),
+        ({"action": {"form": "translation", "n": 8.0}}, "action.n"),
+        ({"action": {"m": 2, "weights": [1]}, "reducer": {"seed": -1}}, "reducer.seed"),
+    ])
+    def test_construction_rules_checked_at_load(self, doc, field):
+        # refused by config_from_dict through the rule table, not first by build_pipeline
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")) as info:
+            config_from_dict(doc)
+        assert isinstance(info.value.__cause__, ParameterError)
+
+    def test_largest_target_dim_accepted(self):
+        config = config_from_dict({"action": {"m": 12, "weights": [6, 3, 4, 2, 2]},
+                                   "target_dim": 15})
+        assert build_pipeline(config).target_dim == 15
 
     def test_witness_range_uses_the_action_dimension(self):
         doc = {"action": {"form": "translation", "n": 8}, "suites": {"sweep": {"witness": [7, 1]}}}

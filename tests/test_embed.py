@@ -8,7 +8,8 @@ from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          eval_invariants, lipschitz_bound, make_cyclic_action,
                          make_pipeline, make_reducer, measure, operator_norm,
                          separating_set)
-from orbit_embed.oracles import finite_difference_gradient, svd_operator_norm
+from orbit_embed.oracles import (finite_difference_gradient, gradient_discrepancy,
+                                 svd_operator_norm)
 
 from conftest import unit_vector
 
@@ -69,6 +70,18 @@ class TestEvalGradient:
         gap = np.abs(eval_gradient(sset, x) - finite_difference_gradient(sset, x)).max()
         assert gap < 1e-5
 
+    @pytest.mark.parametrize("name", ["z12_set", "translation_pipeline"])
+    def test_finite_difference_rows_match_one_signal_calls(self, name, request, rng):
+        value = request.getfixturevalue(name)
+        sset = getattr(value, "sset", value)
+        x = np.array([unit_vector(rng, sset.n) for _ in range(6)])
+        batch = finite_difference_gradient(sset, x)
+        gaps = gradient_discrepancy(sset, x)
+        assert batch.shape == (6, sset.size, sset.n) and gaps.shape == (6,)
+        for i in range(6):
+            np.testing.assert_array_equal(batch[i], finite_difference_gradient(sset, x[i]))
+            assert gaps[i] == gradient_discrepancy(sset, x[i])
+
 
 class TestMakeReducer:
     def test_reproducible(self):
@@ -93,6 +106,26 @@ class TestMakeReducer:
     def test_no_padding(self):
         with pytest.raises(ParameterError):
             make_reducer(5, 7)
+
+    @pytest.mark.parametrize("N,k,seed,kind", [
+        (15, 11.9, 0, "gaussian"),  # would silently give 11 rows
+        (15.0, 11, 0, "gaussian"),
+        (15, 15.0, 0, "identity"),
+        (15, 11, -1, "gaussian"),  # numpy's own ValueError before
+        (15, 11, 1.5, "gaussian"),
+        (15, 11, True, "gaussian"),
+        (15, 11, 0, "sparse"),
+        (15, 11, 0, None),
+    ])
+    def test_non_integer_sizes_seeds_and_kinds_rejected(self, N, k, seed, kind):
+        with pytest.raises(ParameterError):
+            make_reducer(N, k, seed=seed, kind=kind)
+
+    def test_auto_kind(self):
+        assert make_reducer(15, 15, kind="auto").kind == "identity"
+        auto, gaussian = make_reducer(15, 11, seed=3, kind="auto"), make_reducer(15, 11, seed=3)
+        assert auto == gaussian
+        np.testing.assert_array_equal(auto.entries, gaussian.entries)
 
     def test_unit_expected_square_modulus(self):
         r = make_reducer(200, 150, seed=0)
@@ -143,6 +176,22 @@ class TestPipeline:
     def test_explicit_dimension_validated(self, z12_action):
         with pytest.raises(ParameterError):
             make_pipeline(z12_action, target_dim=16)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"target_dim": 3.7}, {"target_dim": True}, {"target_dim": 0}, {"target_dim": "11"},
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+        {"reducer_kind": "sparse"}, {"reducer_kind": None},
+    ])
+    def test_wrong_type_or_range_rejected(self, z12_action, kwargs):
+        with pytest.raises(ParameterError):
+            make_pipeline(z12_action, **kwargs)
+
+    def test_auto_kind_is_the_default(self, z12_action, minus_identity_action):
+        auto = make_pipeline(z12_action, seed=42, reducer_kind="auto").reducer
+        default = make_pipeline(z12_action, seed=42).reducer
+        assert auto == default
+        np.testing.assert_array_equal(auto.entries, default.entries)
+        assert make_pipeline(minus_identity_action, reducer_kind="auto").reducer.kind == "identity"
 
 
 class TestEmbed:
