@@ -19,10 +19,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, FormError, check_param
+from .errors import DimensionError, FormError, check_param, is_int
 
 DIAGONAL = "diagonal"
 TRANSLATION = "translation"
+
+# quotient_distance scores each k by ||x||^2 + ||y||^2 - 2 Re <T^k y, x> and
+# recomputes exactly every k scored within this fraction of ||x||^2 + ||y||^2
+# of the row's smallest. Score and exact norm each carry O(n * eps) relative
+# rounding at that scale, so the slack must exceed both for the exact
+# minimizer always to be kept; 1e-9 is about 1e5 times n * eps at n = 64.
+_CANDIDATE_SLACK = 1e-9
+# That rounding is relative only while ||x||^2 + ||y||^2 lies in this range:
+# below it squared entries are subnormal, above it exact norms can overflow.
+# Rows outside it, or with a non-finite score, recompute every k.
+_SCORED_SCALE = (1e-250, 1e250)
 
 
 @dataclass(frozen=True)
@@ -97,11 +108,14 @@ def act(action: CyclicAction, k, x) -> np.ndarray:
     multiplies entry i by ``omega**(k*e_i)``. Each row keeps its norm.
     """
     x = as_signals(x, action.n)
-    k = np.asarray(k) % action.m
-    if k.ndim and k.shape != x.shape[:-1]:
+    check_param(k=k)
+    k = k % action.m if is_int(k) else np.asarray(k) % action.m
+    if np.ndim(k) and k.shape != x.shape[:-1]:
         raise DimensionError(f"got {k.size} powers for signals of shape {x.shape}")
     if action.form == TRANSLATION:
-        return np.take_along_axis(x, np.broadcast_to(_shift_table(action)[k], x.shape), axis=-1)
+        if np.ndim(k):
+            return np.take_along_axis(x, _shift_table(action)[k], axis=-1)
+        return x[..., _shift_table(action)[k]]
     return _phase_table(action)[k] * x
 
 
@@ -116,18 +130,34 @@ def orbit(action: CyclicAction, x) -> np.ndarray:
 def quotient_distance(action: CyclicAction, x, y):
     """Distance between the orbits of x and y: a float, or ``(S,)`` for batches.
 
-    Computes ``min_k ||x - T^k y||`` exactly by enumerating all m group
-    elements, one at a time; for a finite group this attains the infimum
-    defining the quotient metric. Both orientations are evaluated and pooled
-    so the result is symmetric in its arguments even at float precision.
+    ``min_k ||x - T^k y||`` over all m group elements, which for a finite
+    group attains the infimum defining the quotient metric. Every k is scored
+    at once from ``||x||^2 + ||y||^2 - 2 Re <T^k y, x>``, one matrix product
+    with the phase table (after the unitary DFT for the translation form,
+    where a shift is a modulation). Only the k whose score lies within
+    rounding of the row's smallest are then evaluated exactly, as
+    ``min(||T^k y - x||, ||T^-k x - y||)``, so the result is the same float
+    as enumerating every k in both orientations: symmetric in its arguments
+    even at float precision, and free of the score's cancellation when the
+    distance is small against the norms.
     """
-    x = as_signals(x, action.n)
-    y = as_signals(y, action.n)
-    best = np.inf
-    for k in range(action.m):
-        best = np.minimum(best, np.minimum(np.linalg.norm(act(action, k, y) - x, axis=-1),
-                                           np.linalg.norm(act(action, k, x) - y, axis=-1)))
-    return best
+    n = action.n
+    x = as_signals(x, n)
+    y = as_signals(y, n)
+    shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
+    x, y = (np.broadcast_to(a, shape + (n,)).reshape(-1, n) for a in (x, y))
+    u, v = (dft(x), dft(y)) if action.form == TRANSLATION else (x, y)
+    with np.errstate(all="ignore"):  # non-finite scores mark rows to enumerate
+        scale = (u.conj() * u).real.sum(-1) + (v.conj() * v).real.sum(-1)
+        score = scale[:, None] - 2.0 * ((u.conj() * v) @ _phase_table(action).T).real
+        near = score <= score.min(-1, keepdims=True) + _CANDIDATE_SLACK * scale[:, None]
+    scored = np.isfinite(score).all(-1) & (_SCORED_SCALE[0] <= scale) & (scale <= _SCORED_SCALE[1])
+    rows, k = np.nonzero(near | ~scored[:, None])
+    exact = np.minimum(np.linalg.norm(act(action, k, y[rows]) - x[rows], axis=-1),
+                       np.linalg.norm(act(action, -k, x[rows]) - y[rows], axis=-1))
+    # every row keeps at least its smallest score, so each row starts one run
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    return np.minimum.reduceat(exact, first).reshape(shape)[()]
 
 
 def dft(x) -> np.ndarray:

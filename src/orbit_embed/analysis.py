@@ -63,6 +63,11 @@ class VerificationReport(_Report):
     cases: tuple[dict, ...] = ()
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the rules accept numpy integers; a report holds Python ints, for JSON
+        object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "seed", int(self.seed))
+
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -294,8 +299,7 @@ def tilde_rescale(sset: SeparatingSet, y, lam: float) -> np.ndarray:
     coordinate rescaling; pair monomials whose exponents satisfy
     a/m_j + b/m_k = 1 scale by lam as well.
     """
-    if lam <= 0:
-        raise ParameterError(f"rescale factor must be positive, got {lam}")
+    check_param(lam=lam)
     y = as_signals(y, sset.n)
     exponents = 1.0 / np.array(sset.orders, dtype=np.float64)
     return lam ** exponents * y
@@ -364,7 +368,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     if witness is None:
         support, perturb, _ = find_degeneration_witness(pipeline.sset)
     else:
-        support, perturb = witness
+        support, perturb = map(int, witness)
 
     # row 0 is the base point x (eps = 0), row i + 1 is x_eps for eps[i]
     xe = np.zeros((len(eps) + 1, diag.n), dtype=np.complex128)
@@ -440,6 +444,6 @@ def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> Verifica
     return VerificationReport(
         suite="prime_case", samples=samples, seed=seed,
         statistic=max(worst, map_gap), threshold=INVARIANCE_TOL, passed=passed,
-        extra={"p": p, "collision_map_gap": map_gap,
+        extra={"p": int(p), "collision_map_gap": map_gap,
                "collision_orbit_distance": orbit_gap,
                "collision_same_orbit": same_orbit})

@@ -64,7 +64,9 @@ def make_reducer(N: int, k: int, seed: int = 0, kind: str = GAUSSIAN) -> Reducer
 
     Gaussian kind: independent entries with standard-normal real and
     imaginary parts, each scaled by 1/sqrt(2) (unit expected squared
-    modulus), drawn as ``default_rng(seed).standard_normal((2, k, N))``.
+    modulus): entry (i, j) is ``(z[0, i, j] + 1j * z[1, i, j]) / sqrt(2)`` with
+    ``z = default_rng(seed).standard_normal((2, k, N))``, drawn without
+    holding z.
     Identity kind requires k = N and ignores the seed for entry values.
     Kind ``"auto"`` is identity when k = N (the reduction is vacuous) and
     gaussian otherwise.
@@ -77,8 +79,14 @@ def make_reducer(N: int, k: int, seed: int = 0, kind: str = GAUSSIAN) -> Reducer
     if kind == "auto":
         kind = IDENTITY if k == N else GAUSSIAN
     if kind == GAUSSIAN:
-        z = np.random.default_rng(seed).standard_normal((2, k, N))
-        entries = (z[0] + 1j * z[1]) / math.sqrt(2)
+        # the stream of standard_normal((2, k, N)), drawn block by block straight
+        # into the real, then the imaginary parts; times the reciprocal, which is
+        # what dividing (z[0] + 1j*z[1]) by sqrt(2) computes, bit for bit
+        rng, scale = np.random.default_rng(seed), 1 / math.sqrt(2)
+        entries = np.empty((k, N), dtype=np.complex128)
+        for part in (entries.real, entries.imag):
+            for block in blocks(k, N):
+                part[block] = rng.standard_normal((block.stop - block.start, N)) * scale
     elif k != N:
         raise ParameterError(f"identity reducer requires k = N, got k={k}, N={N}")
     else:

@@ -40,9 +40,9 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def is_prime(p: int) -> bool:
-    """Trial division; False below 2."""
-    if p < 2:
+def is_prime(p) -> bool:
+    """Trial division; False below 2 and for anything but an integer."""
+    if not is_int(p) or p < 2:
         return False
     return all(p % q for q in range(2, int(math.isqrt(p)) + 1))
 
@@ -58,6 +58,10 @@ PARAMS = {
                 and all(map(is_int, v)),
                 "must be a list, tuple, range or 1-d array of integers"),
     "n": (lambda v, n: is_int(v) and v >= 1, "must be an integer >= 1"),
+    "k": (lambda v, n: is_int(v) or (isinstance(v, (list, tuple, np.ndarray))
+                                     and np.asarray(v).dtype.kind in "iu"
+                                     and (isinstance(v, np.ndarray) or all(map(is_int, v)))),
+          "must be an integer, or a list or array of integers"),
     "target_dim": (lambda v, n: v == "auto" if isinstance(v, str)
                    else is_int(v) and 1 <= v <= n * (n + 1) // 2,
                    'must be "auto" or an integer in 1..n(n+1)/2, n = {n}'),
@@ -65,7 +69,8 @@ PARAMS = {
              'must be one of "auto", "gaussian", "identity"'),
     "seed": (lambda v, n: is_int(v) and v >= 0, "must be an integer >= 0"),
     "samples": (lambda v, n: is_int(v) and v >= 1, "must be an integer >= 1"),
-    "p": (lambda v, n: is_int(v) and v >= 5 and is_prime(v), "must be a prime integer >= 5"),
+    "p": (lambda v, n: is_prime(v) and v >= 5, "must be a prime integer >= 5"),
+    "lam": (lambda v, n: is_real(v) and v > 0, "must be a real number > 0"),
     "delta": (lambda v, n: is_real(v) and 0.0 < v < 2.0, "must be a real number in (0, 2)"),
     "epsilons": (lambda v, n: isinstance(v, (list, tuple)) and bool(v)
                  and all(is_real(e) and 0.0 < e <= 0.5 for e in v)

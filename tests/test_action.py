@@ -97,6 +97,22 @@ class TestAct:
         with pytest.raises(DimensionError):
             act(z12_action, 1, np.zeros(3))
 
+    @pytest.mark.parametrize("k", [1.5, True, np.True_, "1", None, np.array([1.5]),
+                                   [1, True], np.array([True])])
+    def test_non_integer_power_rejected(self, z12_action, k):
+        # 1.5 raised numpy's IndexError and True applied T^1
+        with pytest.raises(ParameterError, match="k must be"):
+            act(z12_action, k, np.ones(5))
+
+    def test_integer_powers_accepted(self, z12_action, translation_action, rng):
+        for action in (z12_action, translation_action):
+            x = rng.standard_normal((2, action.n)) + 0j
+            expected = np.array([act(action, 3, x[0]), act(action, -4, x[1])])
+            for k in ([3, -4], (3, -4), np.array([3, -4]),
+                      np.array([3, action.m - 4], dtype=np.uint8)):
+                np.testing.assert_array_equal(act(action, k, x), expected)
+            np.testing.assert_array_equal(act(action, np.int64(3), x[0]), expected[0])
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_unitarity(self, data):
@@ -159,6 +175,90 @@ class TestQuotientDistance:
         orb = orbit(z12_action, x)
         assert orb.shape == (12, 5)
         np.testing.assert_array_equal(orb[0], x)
+
+
+def enumerated_distance(action, x, y):
+    """The quotient distance as every group element gives it, in both orientations."""
+    best = np.inf
+    for k in range(action.m):
+        best = np.minimum(best, np.minimum(np.linalg.norm(act(action, k, y) - x, axis=-1),
+                                           np.linalg.norm(act(action, k, x) - y, axis=-1)))
+    return best
+
+
+def adversarial_pairs(action, rng, S):
+    """S pairs of rows; the first eight are one of each kind, the rest random kinds:
+    generic, same orbit, near tie, equidistant from two images, constant, zero,
+    scaled by 1e-165..1e165 (squares that underflow or nearly overflow), non-finite."""
+    n, m = action.n, action.m
+    x, y = (rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n)) for _ in range(2))
+    kinds = rng.integers(0, 8, size=S)
+    kinds[:8] = np.arange(min(S, 8))
+    for i, kind in enumerate(kinds):
+        k, j = rng.integers(0, m, size=2)
+        if kind == 1:
+            y[i] = act(action, k, x[i])
+        elif kind == 2:
+            y[i] = act(action, k, x[i]) + 1e-12 * x[i]
+        elif kind == 3:  # T^-k y and T^-j y lie equally far from x
+            y[i] = (act(action, k, x[i]) + act(action, j, x[i])) / 2
+        elif kind == 4:  # every k ties for translation
+            x[i], y[i] = x[i, 0], y[i, 0]
+        elif kind == 5:
+            x[i] = 0.0
+            y[i] *= rng.integers(0, 2)
+        elif kind == 6:
+            scale = 10.0 ** rng.uniform(-165, 165)
+            x[i] *= scale
+            y[i] *= scale * 10.0 ** rng.uniform(-1, 1)
+        elif kind == 7:
+            x[i, rng.integers(0, n)] = rng.choice(
+                [np.nan, np.inf, -np.inf, complex(np.inf, np.inf)])
+    return x, y
+
+
+class TestQuotientDistanceIsTheEnumeration:
+    """Scoring every k by one product and recomputing only the nearest exactly
+    returns the float that enumerating every k returns, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_enumeration(self, data):
+        if data.draw(st.booleans(), label="translation"):
+            action = make_translation_action(data.draw(st.integers(1, 39), label="n"))
+        else:
+            action = random_diagonal_action(data)
+        S = data.draw(st.integers(0, 40), label="S")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x, y = adversarial_pairs(action, rng, S)
+        with np.errstate(all="ignore"):  # inf - inf in the non-finite rows
+            d = quotient_distance(action, x, y)
+            # one signal at a time: numpy rounds the complex product of a (1,)
+            # and a (1, 1) array, the loop's one-row one-coordinate batch, by
+            # another kernel than every other shape
+            expected = np.array([enumerated_distance(action, a, b) for a, b in zip(x, y)])
+            if (S, action.n) != (1, 1):
+                np.testing.assert_array_equal(enumerated_distance(action, x, y), expected)
+        assert d.shape == (S,)
+        np.testing.assert_array_equal(d, expected)
+
+    @pytest.mark.parametrize("n", [36, 64])
+    def test_equals_the_enumeration_where_squares_are_subnormal(self, n, rng):
+        # below about 1e-154 the squared entries lose the relative accuracy the
+        # candidate slack assumes; such rows are enumerated for every k
+        action = make_translation_action(n)
+        x, y = ((rng.standard_normal((400, n)) + 1j * rng.standard_normal((400, n)))
+                * 10.0 ** rng.uniform(-170, -150, size=(400, 1)) for _ in range(2))
+        expected = np.array([enumerated_distance(action, a, b) for a, b in zip(x, y)])
+        np.testing.assert_array_equal(quotient_distance(action, x, y), expected)
+
+    def test_every_kind_of_row_is_drawn(self, z12_action, rng):
+        x, y = adversarial_pairs(z12_action, rng, 8)
+        assert np.isfinite(x[:7]).all() and not np.isfinite(x[7]).all()
+        assert not x[5].any() and np.ptp(x[4]) == 0
+        with np.errstate(all="ignore"):
+            d = quotient_distance(z12_action, x, y)
+        assert d[1] <= 1e-15 and 0 < d[2] < 1e-11 and not np.isfinite(d[7])
 
 
 class TestBatch:

@@ -1,4 +1,5 @@
 import importlib
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -84,6 +85,25 @@ def test_seed_of_wrong_type_or_range_raises_parameter_error(z12_pipeline, suite,
 @pytest.mark.parametrize("suite", SEEDED_SUITES)
 def test_integer_seeds_accepted(z12_pipeline, suite):
     assert SEEDED_SUITES[suite](z12_pipeline, np.int64(3)) == SEEDED_SUITES[suite](z12_pipeline, 3)
+
+
+@pytest.mark.parametrize("suite", SEEDED_SUITES)
+def test_numpy_integer_seed_gives_the_same_json(z12_pipeline, suite):
+    # the report held the numpy seed, which json.dumps refuses
+    reports = [SEEDED_SUITES[suite](z12_pipeline, seed) for seed in (np.int64(3), 3)]
+    assert isinstance(reports[0].seed, int) and not isinstance(reports[0].seed, np.integer)
+    dumped = [json.dumps(r.to_json_dict(), indent=2, sort_keys=True) for r in reports]
+    assert dumped[0] == dumped[1]
+
+
+def test_numpy_integer_p_samples_and_witness_give_the_same_json(z12_pipeline):
+    def dumps(report):
+        return json.dumps(report.to_json_dict(), sort_keys=True)
+
+    assert dumps(prime_case_report(np.int64(5), np.int64(2), 3)) == \
+        dumps(prime_case_report(5, 2, 3))
+    assert dumps(lower_lipschitz_sweep(z12_pipeline, [0.1, 0.01], (np.int64(3), np.int64(4)))) == \
+        dumps(lower_lipschitz_sweep(z12_pipeline, [0.1, 0.01], (3, 4)))
 
 
 class TestSeparationMargin:
@@ -235,6 +255,12 @@ class TestTildeRescale:
             with pytest.raises(ParameterError):
                 tilde_rescale(z12_set, np.ones(5), lam)
 
+    @pytest.mark.parametrize("lam", ["1", None, True, float("nan"), [2.0]])
+    def test_rejects_non_real_lambda(self, z12_set, lam):
+        # a string was compared with 0 and raised an untyped TypeError
+        with pytest.raises(ParameterError, match="lam"):
+            tilde_rescale(z12_set, np.ones(5), lam)
+
 
 class TestLowerLipschitzSweep:
     EPSILONS = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
@@ -315,6 +341,12 @@ class TestPrimeCase:
     def test_composite_rejected(self):
         with pytest.raises(ParameterError):
             prime_fourier_map(6, np.ones(6))
+
+    @pytest.mark.parametrize("p", [5.0, "5", True, None])
+    def test_non_integer_rejected(self, p):
+        # a float reached math.isqrt and raised an untyped TypeError
+        with pytest.raises(ParameterError):
+            prime_fourier_map(p, np.ones(5))
 
     def test_report(self):
         report = prime_case_report(5, samples=100, seed=3)

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +129,24 @@ class TestMakeReducer:
         auto, gaussian = make_reducer(15, 11, seed=3, kind="auto"), make_reducer(15, 11, seed=3)
         assert auto == gaussian
         np.testing.assert_array_equal(auto.entries, gaussian.entries)
+
+    @pytest.mark.parametrize("N,k,seed", [(15, 11, 42), (36, 17, 3), (2080, 129, 42), (1, 1, 0)])
+    def test_entries_follow_the_documented_formula(self, N, k, seed):
+        # (2080, 129) is drawn in several row blocks
+        z = np.random.default_rng(seed).standard_normal((2, k, N))
+        expected = (z[0] + 1j * z[1]) / math.sqrt(2)
+        entries = make_reducer(N, k, seed=seed).entries
+        np.testing.assert_array_equal(entries.view(np.float64), expected.view(np.float64))
+
+    def test_draw_holds_no_copy_of_the_entries(self):
+        # the (2, k, N) normal draw and its complex combination held twice the result
+        tracemalloc.start()
+        try:
+            entries = make_reducer(2080, 129, seed=42).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * entries.nbytes, peak / entries.nbytes
 
     def test_unit_expected_square_modulus(self):
         r = make_reducer(200, 150, seed=0)
