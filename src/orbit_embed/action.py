@@ -67,13 +67,16 @@ def make_translation_action(n: int) -> CyclicAction:
 
 
 def as_signals(x, n: int | None = None) -> np.ndarray:
-    """Coerce to one complex128 signal ``(n,)`` or a batch of signals ``(S, n)``."""
+    """Coerce to one complex128 signal ``(n,)`` or a batch of signals ``(S, n)``,
+    n >= 1."""
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim not in (1, 2):
         raise DimensionError(
             f"signals must be an (n,) vector or an (S, n) batch, got shape {arr.shape}")
     if n is not None and arr.shape[-1] != n:
         raise DimensionError(f"signal has length {arr.shape[-1]}, expected {n}")
+    if not arr.shape[-1]:
+        raise DimensionError(f"signals need at least one entry, got shape {arr.shape}")
     return arr
 
 
@@ -129,6 +132,7 @@ def orbit(action: CyclicAction, x) -> np.ndarray:
 
 def quotient_distance(action: CyclicAction, x, y):
     """Distance between the orbits of x and y: a float, or ``(S,)`` for batches.
+    Batches pair row by row; one signal, or a batch of one, pairs with every row.
 
     ``min_k ||x - T^k y||`` over all m group elements, which for a finite
     group attains the infimum defining the quotient metric. Every k is scored
@@ -144,6 +148,8 @@ def quotient_distance(action: CyclicAction, x, y):
     n = action.n
     x = as_signals(x, n)
     y = as_signals(y, n)
+    if x.ndim == y.ndim == 2 and len(x) != len(y) and 1 not in (len(x), len(y)):
+        raise DimensionError(f"cannot pair {len(x)} signals with {len(y)}")
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
     x, y = (np.broadcast_to(a, shape + (n,)).reshape(-1, n) for a in (x, y))
     u, v = (dft(x), dft(y)) if action.form == TRANSLATION else (x, y)

@@ -106,6 +106,8 @@ def operator_norm(reducer) -> float:
     a = reducer.entries if isinstance(reducer, Reducer) else np.asarray(reducer, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"operator norm expects a matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError("operator norm expects finite entries")
     frob = float(np.linalg.norm(a))
     if frob == 0.0:
         return 0.0
@@ -127,16 +129,23 @@ def blocks(count: int, width: int):
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
+def _factors(plan: tuple[np.ndarray, ...], x: np.ndarray):
+    # each distinct power once, with numpy's own ** so every value keeps its
+    # bits, then one gather per factor set of the plan (see power_plan), made
+    # when the caller takes it
+    coords, exps, *positions = plan
+    table = x.take(coords, axis=-1) ** exps
+    return (table.take(at, axis=-1) for at in positions)
+
+
 def eval_invariants(sset: SeparatingSet, x) -> np.ndarray:
     """Evaluate all separating monomials at x, in canonical order.
 
     ``x`` is one signal ``(n,)`` or a batch ``(S, n)``; the values are
     ``(N,)`` or ``(S, N)``, each row bit-identical to evaluating it alone.
     """
-    x = as_signals(x, sset.n)
-    first, first_exp, second, second_exp = sset.index_arrays
-    values = x.take(first, axis=-1) ** first_exp
-    values[..., sset.n:] *= x.take(second, axis=-1) ** second_exp
+    values, second = _factors(sset.invariant_powers, as_signals(x, sset.n))
+    values[..., sset.n:] *= second
     return values
 
 
@@ -144,13 +153,13 @@ def eval_partials(sset: SeparatingSet, x) -> tuple[np.ndarray, np.ndarray]:
     """The holomorphic partials that can be nonzero: ``d_first`` ``(..., N)``,
     each monomial's in its first variable, and ``d_second`` ``(..., N - n)``,
     each pair's in its second variable (see ``SeparatingSet.index_arrays``)."""
-    x = as_signals(x, sset.n)
-    first, a, second, b = sset.index_arrays
-    x1, x2 = x.take(first, axis=-1), x.take(second, axis=-1)
-    d_first = a * x1 ** (a - 1)
-    d_first[..., sset.n:] *= x2 ** b
-    # clip the exponent before multiplying by b so b = 0 yields 0, not 0*inf
-    d_second = b * x1[..., sset.n:] ** a[sset.n:] * x2 ** np.maximum(b - 1, 0)
+    _, a, _, b = sset.index_arrays
+    factors = _factors(sset.partial_powers, as_signals(x, sset.n))
+    d_first = a * next(factors)
+    d_first[..., sset.n:] *= next(factors)
+    # the last factor's exponent is max(b - 1, 0), so b = 0 yields 0, not 0*inf
+    d_second = b * next(factors)
+    d_second *= next(factors)
     return d_first, d_second
 
 

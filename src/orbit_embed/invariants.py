@@ -26,7 +26,7 @@ from .errors import DimensionError, FormError
 
 __all__ = [
     "PowerMonomial", "PairMonomial", "Monomial", "SeparatingSet",
-    "coordinate_order", "pair_exponents", "separating_set",
+    "coordinate_order", "pair_exponents", "power_plan", "separating_set",
     "is_invariant_monomial", "is_homogeneous",
     "separating_set_to_json", "separating_set_from_json",
 ]
@@ -112,6 +112,32 @@ class SeparatingSet:
         second = [(p.k - 1, p.b) for p in self.pairs]
         return (*np.array(first, dtype=np.int64).reshape(-1, 2).T,
                 *np.array(second, dtype=np.int64).reshape(-1, 2).T)
+
+    @cached_property
+    def invariant_powers(self) -> tuple[np.ndarray, ...]:
+        """The :func:`power_plan` of ``x_first ** first_exp`` and ``x_second ** second_exp``."""
+        first, a, second, b = self.index_arrays
+        return power_plan((first, a), (second, b))
+
+    @cached_property
+    def partial_powers(self) -> tuple[np.ndarray, ...]:
+        """The :func:`power_plan` of the partials' factors ``x_first ** (a - 1)``,
+        ``x_second ** b``, the pairs' ``x_j ** a`` and ``x_second ** max(b - 1, 0)``."""
+        first, a, second, b = self.index_arrays
+        return power_plan((first, a - 1), (second, b), (first[self.n:], a[self.n:]),
+                          (second, np.maximum(b - 1, 0)))
+
+
+def power_plan(*factor_sets) -> tuple[np.ndarray, ...]:
+    """``(coords, exps, *positions)``: each distinct (index, exponent) pair of the
+    factor sets ``(indices, exponents)`` once, and each set's positions among
+    them, so ``(x.take(coords, axis=-1) ** exps).take(positions[i], axis=-1)`` is
+    ``x.take(indices_i, axis=-1) ** exponents_i`` bit for bit. The pairs are
+    keyed as Python ints: exponents reach m < 2**63, past any packed int64 key."""
+    at: dict[tuple[int, int], int] = {}
+    positions = [np.array([at.setdefault(pair, len(at)) for pair in zip(i.tolist(), e.tolist())],
+                          dtype=np.int64) for i, e in factor_sets]
+    return (*np.array(list(at), dtype=np.int64).reshape(-1, 2).T, *positions)
 
 
 def coordinate_order(m: int, e: int) -> int:

@@ -133,6 +133,18 @@ class TestQuotientDistance:
         action = make_translation_action(4)
         assert quotient_distance(action, [1, 0, 0, 0], [0, 1, 0, 0]) == 0.0
 
+    def test_batches_of_different_lengths_rejected(self, z12_action):
+        with pytest.raises(DimensionError):
+            quotient_distance(z12_action, np.ones((3, 5)), np.ones((4, 5)))
+
+    def test_one_signal_pairs_with_every_row(self, z12_action, rng):
+        x = unit_vector(rng, 5)
+        y = np.array([unit_vector(rng, 5) for _ in range(4)])
+        each = [quotient_distance(z12_action, x, row) for row in y]
+        for one in (x, x[None]):
+            np.testing.assert_array_equal(quotient_distance(z12_action, one, y), each)
+            np.testing.assert_array_equal(quotient_distance(z12_action, y, one), each)
+
     def test_distance_to_zero_is_norm(self, z12_action, rng):
         x = 3.7 * unit_vector(rng, z12_action.n)
         assert quotient_distance(z12_action, x, np.zeros(5)) == pytest.approx(
@@ -315,6 +327,12 @@ class TestDft:
             assert batch.shape == x.shape
             for row, xi in zip(batch, x):
                 np.testing.assert_array_equal(row, fn(xi))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_zero_length_rejected(self, shape):
+        for fn in (dft, idft):
+            with pytest.raises(DimensionError):
+                fn(np.zeros(shape))
 
     def test_shift_theorem(self, rng):
         # translating in time modulates in frequency with weights e_j = j

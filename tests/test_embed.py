@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          auto_target_dim, embed, eval_gradient,
                          eval_invariants, lipschitz_bound, make_cyclic_action,
-                         make_pipeline, make_reducer, measure, operator_norm,
-                         separating_set)
+                         make_pipeline, make_reducer, make_translation_action,
+                         measure, operator_norm, separating_set,
+                         to_fourier_domain)
+from orbit_embed.embed import eval_partials
 from orbit_embed.oracles import (finite_difference_gradient, gradient_discrepancy,
                                  svd_operator_norm)
 
@@ -84,6 +86,130 @@ class TestEvalGradient:
         for i in range(6):
             np.testing.assert_array_equal(batch[i], finite_difference_gradient(sset, x[i]))
             assert gaps[i] == gradient_discrepancy(sset, x[i])
+
+
+def reference_invariants(sset, x):
+    """One ``**`` per monomial factor: the evaluation the power plan replaced."""
+    first, first_exp, second, second_exp = sset.index_arrays
+    values = x.take(first, axis=-1) ** first_exp
+    values[..., sset.n:] *= x.take(second, axis=-1) ** second_exp
+    return values
+
+
+def reference_partials(sset, x):
+    first, a, second, b = sset.index_arrays
+    x1, x2 = x.take(first, axis=-1), x.take(second, axis=-1)
+    d_first = a * x1 ** (a - 1)
+    d_first[..., sset.n:] *= x2 ** b
+    d_second = b * x1[..., sset.n:] ** a[sset.n:] * x2 ** np.maximum(b - 1, 0)
+    return d_first, d_second
+
+
+def reference_gradient(sset, x):
+    first, _, second, _ = sset.index_arrays
+    d_first, d_second = reference_partials(sset, x)
+    jac = np.zeros(x.shape[:-1] + (sset.size, sset.n), dtype=np.complex128)
+    rows = np.arange(sset.size)
+    jac[..., rows, first] = d_first
+    jac[..., rows[sset.n:], second] = d_second
+    return jac
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def assert_reference_bits(sset, x):
+    with np.errstate(all="ignore"):  # overflowing powers of the scaled rows
+        pairs = [(eval_invariants(sset, x), reference_invariants(sset, x)),
+                 *zip(eval_partials(sset, x), reference_partials(sset, x)),
+                 (eval_gradient(sset, x), reference_gradient(sset, x))]
+    for actual, expected in pairs:
+        assert_same_bits(actual, expected)
+
+
+def plan_test_set(data):
+    """z12, c2, a translation set for n <= 40, or a diagonal action with
+    m <= 300: orders of 100 and more take numpy's libm power, not its
+    repeated squaring."""
+    kind = data.draw(st.sampled_from(["z12", "c2", "translation", "diagonal"]), label="kind")
+    if kind == "z12":
+        return separating_set(make_cyclic_action(12, [6, 3, 4, 2, 2]))
+    if kind == "c2":
+        return separating_set(make_cyclic_action(2, [1, 1]))
+    if kind == "translation":
+        n = data.draw(st.integers(1, 40), label="n")
+        return separating_set(to_fourier_domain(make_translation_action(n)))
+    m = data.draw(st.integers(1, 300), label="m")
+    n = data.draw(st.integers(1, 8), label="n")
+    return separating_set(make_cyclic_action(
+        m, data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), label="weights")))
+
+
+def hard_rows(rng, S, n):
+    """S unit rows, each kept plain, given exact +-0 entries, subnormal
+    entries, or scaled by 1e150 or 1e-150, or given inf/NaN entries."""
+    x = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    kind = rng.integers(0, 6, size=(S, 1))
+    some = rng.random((S, n)) < 0.4
+    x[(kind == 1) & some] = 0
+    x.real[(kind == 1) & (rng.random((S, n)) < 0.3)] = -0.0
+    x.imag[(kind == 1) & (rng.random((S, n)) < 0.3)] = -0.0
+    x[(kind == 2) & some] *= 1e-310
+    x *= np.array([1, 1, 1, 1e150, 1e-150, 1])[kind]
+    x[(kind == 5) & some] = rng.choice([np.nan, np.inf, -np.inf, complex(np.inf, np.nan)],
+                                       size=int(((kind == 5) & some).sum()))
+    return x
+
+
+class TestPowerPlanKeepsTheBits:
+    """Each distinct power once, then gathered, is the per-factor ``**``
+    evaluation bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_power_per_factor(self, data):
+        sset = plan_test_set(data)
+        S = data.draw(st.integers(0, 40), label="S")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = hard_rows(rng, S, sset.n)
+        assert_reference_bits(sset, x)
+        assert_reference_bits(sset, x[0] if S else np.ones(sset.n, dtype=complex))
+
+    def test_every_kind_of_row_is_drawn(self):
+        x = hard_rows(np.random.default_rng(3), 40, 6)
+        assert (x == 0).any() and np.signbit(x.real[x.real == 0]).any()
+        assert ((0 < abs(x)) & (abs(x) < 1e-300)).any()
+        assert (abs(x) > 1e149).any() and ((0 < abs(x)) & (abs(x) < 1e-149)).any()
+        assert np.isnan(x).any() and np.isinf(x).any()
+
+    @pytest.mark.parametrize("fn, reference", [(eval_invariants, reference_invariants),
+                                               (eval_partials, reference_partials)])
+    def test_holds_no_more_than_one_power_per_factor(self, fn, reference, rng):
+        # one block of the n=64 suites: the table and the gathers must not
+        # outgrow the per-factor powers they replace
+        sset = make_pipeline(make_translation_action(64), seed=42).sset
+        x = np.array([unit_vector(rng, 64) for _ in range(7)])
+        fn(sset, x)  # builds the cached plan
+        peaks = []
+        for f in (fn, reference):
+            tracemalloc.start()
+            f(sset, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+    @pytest.mark.parametrize("plan", ["invariant_powers", "partial_powers"])
+    def test_a_swapped_position_fails(self, plan, rng):
+        sset = separating_set(make_cyclic_action(12, [6, 3, 4, 2, 2]))
+        coords, exps, first_at, *rest = getattr(sset, plan)
+        first_at = first_at.copy()
+        first_at[[0, 1]] = first_at[[1, 0]]
+        sset.__dict__[plan] = (coords, exps, first_at, *rest)
+        with pytest.raises(AssertionError):
+            assert_reference_bits(sset, hard_rows(rng, 10, sset.n))
 
 
 class TestMakeReducer:
@@ -162,6 +288,13 @@ class TestOperatorNorm:
 
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 4))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3, 4, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(DataError):
+            operator_norm(a)
 
     def test_matches_svd_oracle(self):
         # 129 x 2080 is the translation n=64 reducer, whose top singular

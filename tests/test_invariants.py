@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from orbit_embed import (DimensionError, FormError, PairMonomial,
                          PowerMonomial, act, coordinate_order, eval_invariants,
                          is_homogeneous, is_invariant_monomial,
-                         make_cyclic_action, make_translation_action,
-                         pair_exponents, separating_set,
-                         separating_set_from_json, separating_set_to_json)
+                         eval_gradient, make_cyclic_action,
+                         make_translation_action, pair_exponents,
+                         separating_set, separating_set_from_json,
+                         separating_set_to_json, to_fourier_domain)
 
 from conftest import unit_vector
 
@@ -123,6 +124,43 @@ class TestSeparatingSet:
         for k in range(z12_action.m):
             moved = eval_invariants(z12_set, act(z12_action, k, x))
             np.testing.assert_allclose(moved, base, atol=1e-10)
+
+
+class TestPowerPlan:
+    @pytest.mark.parametrize("action, invariant, partial", [
+        (to_fourier_domain(make_translation_action(64)), 1695, 2233),
+        (make_cyclic_action(12, [6, 3, 4, 2, 2]), 15, 20),
+    ])
+    def test_each_power_once(self, action, invariant, partial):
+        sset = separating_set(action)
+        first, a, second, b = sset.index_arrays
+        n = sset.n
+        for plan, count, factor_sets in [
+                (sset.invariant_powers, invariant, [(first, a), (second, b)]),
+                (sset.partial_powers, partial, [(first, a - 1), (second, b),
+                                                (first[n:], a[n:]),
+                                                (second, np.maximum(b - 1, 0))])]:
+            coords, exps, *positions = plan
+            assert len(set(zip(coords.tolist(), exps.tolist()))) == len(coords) == count
+            for at, (index, exponent) in zip(positions, factor_sets, strict=True):
+                np.testing.assert_array_equal(coords[at], index)
+                np.testing.assert_array_equal(exps[at], exponent)
+
+    @pytest.mark.parametrize("m", [10**9, 2**63 - 1])
+    def test_orders_past_any_packed_key(self, m):
+        # a key packed as coordinate * (largest exponent + 1) + exponent
+        # would overflow int64 at m = 2**63 - 1
+        sset = separating_set(make_cyclic_action(m, [1, 2]))
+        coords, exps, first_at, second_at = sset.invariant_powers
+        assert exps.dtype == np.int64 and int(exps.max()) == sset.orders[0]
+        first, a, second, b = sset.index_arrays
+        np.testing.assert_array_equal(exps[first_at], a)
+        np.testing.assert_array_equal(exps[second_at], b)
+        x = np.exp(2j * np.pi * np.array([[0.1, 0.7], [0.25, 0.5]]))
+        values = eval_invariants(sset, x)
+        np.testing.assert_array_equal(values[:, :2], x ** np.array(sset.orders))
+        np.testing.assert_array_equal(values[:, 2], x[:, 0] ** a[2] * x[:, 1] ** b[0])
+        assert eval_gradient(sset, x).shape == (2, 3, 2)
 
 
 class TestIsInvariantMonomial:
