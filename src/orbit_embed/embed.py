@@ -157,9 +157,10 @@ def eval_partials(sset: SeparatingSet, x) -> tuple[np.ndarray, np.ndarray]:
     factors = _factors(sset.partial_powers, as_signals(x, sset.n))
     d_first = a * next(factors)
     d_first[..., sset.n:] *= next(factors)
-    # the last factor's exponent is max(b - 1, 0), so b = 0 yields 0, not 0*inf
-    d_second = b * next(factors)
-    d_second *= next(factors)
+    # the last factor's exponent is max(b - 1, 0), so b = 0 yields 0, not 0*inf;
+    # one out-of-place product as before: numpy's in-place complex multiply
+    # runs another loop and can round the last bit differently
+    d_second = b * next(factors) * next(factors)
     return d_first, d_second
 
 
