@@ -29,8 +29,7 @@ from .errors import (DataError, DimensionError, FormError, HypothesisError,
 from .invariants import (Monomial, PairMonomial, PowerMonomial, SeparatingSet,
                          coordinate_order, is_homogeneous,
                          is_invariant_monomial, pair_exponents,
-                         separating_set, separating_set_from_json,
-                         separating_set_to_json)
+                         separating_set, separating_set_to_json)
 
 __version__ = "0.1.0"
 
@@ -39,8 +38,7 @@ __all__ = [
     "make_translation_action", "orbit", "quotient_distance", "to_fourier_domain",
     "Monomial", "PairMonomial", "PowerMonomial", "SeparatingSet",
     "coordinate_order", "is_homogeneous", "is_invariant_monomial",
-    "pair_exponents", "separating_set", "separating_set_from_json",
-    "separating_set_to_json",
+    "pair_exponents", "separating_set", "separating_set_to_json",
     "LipschitzBound", "Pipeline", "Reducer", "auto_target_dim", "embed",
     "eval_gradient", "eval_invariants", "lipschitz_bound", "make_pipeline",
     "make_reducer", "measure", "operator_norm",

@@ -8,12 +8,22 @@ per-sample generators are derived deterministically from
 (pipeline, seed, samples). Samples are drawn and evaluated in blocks, so a
 suite's memory does not grow with its sample count; a reported worst case
 is the first sample, in index order, that attains it.
+
+``check_invariance`` and ``separation_margin`` read one orbit pass: Phi over
+the full orbit of each sample's first sphere point, of which only the
+records of two running maxima are kept (see ``_OrbitPass``). Within a
+``verify`` run (``_sharing_orbit_pass``) the two suites share it, and a
+smaller sample count reads a prefix of a larger pass. Rows of ``embed`` are
+bit-identical in any batch, so a shared run writes the same report bytes as
+each suite run alone.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,21 +96,86 @@ def _sample_blocks(seed: int, samples: int, width: int, draw):
         yield (block.start, *map(np.array, zip(*map(draw, rngs))))
 
 
-def _orbit_deviation(action: CyclicAction, f, samples: int, seed: int, width: int,
-                     worst: float = 0.0) -> tuple[float, dict | None]:
-    """Largest ``||f(T^k x) - f(x)|| / (1 + ||f(x)||)`` over sampled unit x, k = 1..m-1
-    (f maps rows to rows of ``width``), and the first case beating ``worst``, or None."""
+class _OrbitPass(NamedTuple):
+    """A map f over the orbits of samples 0..samples-1, the orbit of sample i
+    being that of its stream's first sphere point x. Kept are the records, in
+    sample order, at which the running maximum strictly rises:
+
+    * ``deviation``: ``(sample, k, value)`` of the relative deviation
+      ``max_k ||f(T^k x) - f(x)|| / (1 + ||f(x)||)``, k the first attaining it;
+    * ``spread``: ``(sample, value)`` of ``max_k ||f(T^k x) - f(x)||``.
+
+    So the maximum over any prefix of the samples, and the first sample that
+    attains it, is the last record below the prefix's end.
+    """
+
+    samples: int
+    deviation: list[tuple[int, int, float]]
+    spread: list[tuple[int, float]]
+
+
+def _last_record(records: list[tuple], samples: int) -> tuple | None:
+    """The record of the maximum over samples 0..samples-1, or None if no
+    sample beats 0."""
+    below = [record for record in records if record[0] < samples]
+    return below[-1] if below else None
+
+
+def _add_records(records: list[tuple], start: int, values: np.ndarray, *more: np.ndarray) -> None:
+    # append (start + i, *more[i], values[i]) for each i whose value beats every
+    # earlier value and 0
+    best = records[-1][-1] if records else 0.0
+    for i in np.flatnonzero(values > best):
+        if values[i] > best:
+            best = float(values[i])
+            records.append((start + int(i), *(int(a[i]) for a in more), best))
+
+
+def _orbit_pass(action: CyclicAction, f, samples: int, seed: int, width: int) -> _OrbitPass:
+    """The :class:`_OrbitPass` of ``f``, which maps rows to rows of ``width``."""
     n, m = action.n, action.m
-    case = None
-    for start, x in _sample_blocks(seed, samples, m * width, lambda rng: (_sphere_point(rng, n),)):
+    deviation: list[tuple[int, int, float]] = []
+    spread: list[tuple[int, float]] = []
+    for start, x in _sample_blocks(seed, samples, m * max(n, width),
+                                   lambda rng: (_sphere_point(rng, n),)):
         values = f(orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)  # k = 0 is x
-        dev = (np.linalg.norm(values[:, 1:] - values[:, :1], axis=-1)
-               / (1.0 + np.linalg.norm(values[:, :1], axis=-1)))
-        if dev.size and dev.max() > worst:
-            i = int(np.argmax(dev))
-            worst = float(dev.flat[i])
-            case = {"sample": start + i // (m - 1), "k": i % (m - 1) + 1, "deviation": worst}
-    return worst, case
+        gaps = np.linalg.norm(values - values[:, :1], axis=-1)  # 0 at k = 0
+        dev = gaps / (1.0 + np.linalg.norm(values[:, :1], axis=-1))
+        k = dev.argmax(axis=1)
+        _add_records(deviation, start, dev[np.arange(len(x)), k], k)
+        _add_records(spread, start, gaps.max(axis=1))
+    return _OrbitPass(samples, deviation, spread)
+
+
+# While a run shares the orbit pass (_sharing_orbit_pass): () or the last
+# (pipeline, seed, pass); None otherwise.
+_shared_pass: tuple | None = None
+
+
+@contextmanager
+def _sharing_orbit_pass():
+    """Within the block, suites on one pipeline and seed share one orbit pass:
+    a one-entry memo keyed on the pipeline's identity (comparing pipelines
+    would compare every monomial) and the seed."""
+    global _shared_pass
+    _shared_pass = ()
+    try:
+        yield
+    finally:
+        _shared_pass = None
+
+
+def _embedding_orbit_pass(pipeline: Pipeline, samples: int, seed: int) -> _OrbitPass:
+    """The orbit pass of Phi, shared where :func:`_sharing_orbit_pass` is active."""
+    global _shared_pass
+    shared = _shared_pass
+    if shared and shared[0] is pipeline and shared[1] == seed and shared[2].samples >= samples:
+        return shared[2]
+    result = _orbit_pass(pipeline.action, lambda u: embed(pipeline, u), samples, seed,
+                         pipeline.target_dim)
+    if shared is not None:
+        _shared_pass = (pipeline, seed, result)
+    return result
 
 
 def _parallel_fit(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -121,9 +196,12 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
     """
     check_param(samples=samples, seed=seed)
     action = pipeline.action
-    zero = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
-    worst, case = _orbit_deviation(action, lambda u: embed(pipeline, u), samples, seed,
-                                   max(action.n, pipeline.target_dim), zero)
+    worst = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
+    case = None
+    record = _last_record(_embedding_orbit_pass(pipeline, samples, seed).deviation, samples)
+    if record and record[2] > worst:
+        worst = record[2]
+        case = {"sample": record[0], "k": record[1], "deviation": worst}
     return VerificationReport(
         suite="invariance", samples=samples, seed=seed,
         statistic=worst, threshold=INVARIANCE_TOL,
@@ -142,19 +220,17 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     """
     check_param(delta=delta, samples=samples, seed=seed)
     action = pipeline.action
-    n, m = action.n, action.m
+    n = action.n
+    record = _last_record(_embedding_orbit_pass(pipeline, samples, seed).spread, samples)
+    leakage = record[1] if record else 0.0
     margin = math.inf
-    leakage = 0.0
     qualifying = 0
     cases: list[dict] = []
-    for start, x, y in _sample_blocks(seed, samples, (m + 1) * max(n, pipeline.target_dim),
+    for start, x, y in _sample_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
                                       lambda rng: (_sphere_point(rng, n), _sphere_point(rng, n))):
-        phi = embed(pipeline, orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)
-        spread = np.linalg.norm(phi[:, 1:] - phi[:, :1], axis=-1)  # k = 0 is Phi(x)
-        leakage = max(leakage, float(spread.max(initial=0.0)))
         d = quotient_distance(action, x, y)
         far = np.flatnonzero(d >= delta)
-        gaps = np.linalg.norm(phi[far, 0] - embed(pipeline, y[far]), axis=-1)
+        gaps = np.linalg.norm(embed(pipeline, x[far]) - embed(pipeline, y[far]), axis=-1)
         qualifying += len(far)
         if gaps.size and gaps.min() < margin:
             i = int(np.argmin(gaps))
@@ -432,8 +508,9 @@ def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> Verifica
     """Demonstrate that the prime-case map is invariant yet non-separating."""
     check_param(samples=samples, p=p, seed=seed)
     modulation = make_cyclic_action(p, range(p))
-    worst, _ = _orbit_deviation(modulation, lambda u: prime_fourier_map(p, u),
-                                samples, seed, 2 * p - 2)
+    record = _last_record(_orbit_pass(modulation, lambda u: prime_fourier_map(p, u),
+                                      samples, seed, 2 * p - 2).deviation, samples)
+    worst = record[2] if record else 0.0
     x, y = prime_collision_pair(p)
     map_gap = float(np.linalg.norm(prime_fourier_map(p, x) - prime_fourier_map(p, y)))
     orbit_gap = float(quotient_distance(modulation, x, y))

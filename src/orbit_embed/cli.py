@@ -359,14 +359,15 @@ def cmd_verify(config: RunConfig) -> int:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     results = {}
-    for name, suite in SUITES.items():
-        if name not in config.suites:
-            continue
-        result = suite.run(pipeline, config.suites[name], config.seed)
-        doc = result.to_json_dict()
-        _write_json(out / f"{name}.json", doc)
-        results[name] = bool(doc["pass"])
-        print(f"{name}: {'pass' if doc['pass'] else 'FAIL'}")
+    with analysis._sharing_orbit_pass():
+        for name, suite in SUITES.items():
+            if name not in config.suites:
+                continue
+            result = suite.run(pipeline, config.suites[name], config.seed)
+            doc = result.to_json_dict()
+            _write_json(out / f"{name}.json", doc)
+            results[name] = bool(doc["pass"])
+            print(f"{name}: {'pass' if doc['pass'] else 'FAIL'}")
     overall = all(results.values()) and bool(results)
     _write_json(out / "summary.json", {
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -21,14 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .action import DIAGONAL, CyclicAction, make_cyclic_action
+from .action import DIAGONAL, CyclicAction
 from .errors import DimensionError, FormError
 
 __all__ = [
     "PowerMonomial", "PairMonomial", "Monomial", "SeparatingSet",
     "coordinate_order", "pair_exponents", "power_plan", "separating_set",
     "is_invariant_monomial", "is_homogeneous",
-    "separating_set_to_json", "separating_set_from_json",
+    "separating_set_to_json",
 ]
 
 
@@ -215,22 +215,3 @@ def separating_set_to_json(sset: SeparatingSet) -> dict:
         "weights": list(sset.action.weights),
         "monomials": [mono.as_dict() for mono in sset.monomials],
     }
-
-
-def separating_set_from_json(doc: dict) -> SeparatingSet:
-    """Rebuild a set from its JSON form, verifying it against a fresh
-    construction for the same action."""
-    action = make_cyclic_action(doc["m"], doc["weights"])
-    rebuilt = separating_set(action)
-    listed = []
-    for entry in doc["monomials"]:
-        if entry["kind"] == "single":
-            listed.append(PowerMonomial(entry["i"], entry["exp"]))
-        elif entry["kind"] == "pair":
-            listed.append(PairMonomial(entry["j"], entry["k"], entry["a"], entry["b"]))
-        else:
-            raise DimensionError(f"unknown monomial kind {entry['kind']!r}")
-    if tuple(listed) != rebuilt.monomials:
-        raise DimensionError("serialized monomials do not match the canonical "
-                             "set for this action")
-    return rebuilt

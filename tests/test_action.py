@@ -71,6 +71,23 @@ class TestMakeCyclicAction:
         assert make_cyclic_action(5, range(5)).weights == (0, 1, 2, 3, 4)
 
 
+class TestOrdersWithoutATable:
+    """An order whose (m, n) table of group elements cannot be built is refused
+    with ParameterError naming action.m, before anything is allocated: at
+    2**63 - 1 its exponents k * e_i overflow int64, at 2**40 building it takes
+    about 96 TiB."""
+
+    @pytest.mark.parametrize("m", [2**63 - 1, 2**40])
+    @pytest.mark.parametrize("call", [
+        lambda a: orbit(a, [1, 1j]),
+        lambda a: act(a, 3, [1, 1j]),
+        lambda a: quotient_distance(a, [1, 0], [0, 1]),
+    ], ids=["orbit", "act", "quotient_distance"])
+    def test_refused(self, m, call):
+        with pytest.raises(ParameterError, match=f"action.m = {m} is too large"):
+            call(make_cyclic_action(m, [1, 2]))
+
+
 class TestMakeTranslationAction:
     @pytest.mark.parametrize("n", [8.5, True, 0, -3, "8"])
     def test_non_positive_integer_rejected(self, n):

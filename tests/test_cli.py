@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orbit_embed import analysis
 from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
@@ -390,6 +391,46 @@ class TestVerifyCommand:
         assert "line" in capsys.readouterr().err
 
 
+class TestSharedOrbitPass:
+    """In one verify run invariance and separation read one orbit pass; each
+    writes the bytes it writes alone, also when their sample counts differ."""
+
+    @staticmethod
+    def reports(tmp_path, name, suites, n):
+        doc = {"action": {"form": "translation", "n": n},
+               "reducer": {"kind": "gaussian", "seed": 42},
+               "suites": suites, "seed": 7, "out": str(tmp_path / name)}
+        assert main(["verify", "--config", write_config(tmp_path, doc, f"{name}.json")]) == 0
+        return {suite: (tmp_path / name / f"{suite}.json").read_bytes() for suite in suites}
+
+    @pytest.mark.parametrize("n,invariance,separation", [(8, 40, 40), (32, 3, 5), (32, 5, 3)])
+    def test_shared_run_writes_the_bytes_of_each_suite_alone(self, tmp_path, capsys,
+                                                             n, invariance, separation):
+        suites = {"invariance": {"samples": invariance}, "separation": {"samples": separation}}
+        shared = self.reports(tmp_path, "shared", suites, n)
+        alone = {**self.reports(tmp_path, "invariance", {"invariance": suites["invariance"]}, n),
+                 **self.reports(tmp_path, "separation", {"separation": suites["separation"]}, n)}
+        assert shared == alone
+
+    def test_memo_keeps_records_only(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        separation_margin = analysis.separation_margin
+
+        def spy(*args):
+            seen.append(analysis._shared_pass)
+            return separation_margin(*args)
+
+        monkeypatch.setattr(analysis, "separation_margin", spy)
+        self.reports(tmp_path, "shared",
+                     {"invariance": {"samples": 5}, "separation": {"samples": 3}}, 32)
+        [(pipeline, seed, orbit_pass)] = seen
+        assert seed == 7 and orbit_pass.samples == 5
+        # plain numbers per record: no array, so no (S, m, k) orbit embedding
+        records = orbit_pass.deviation + orbit_pass.spread
+        assert records and all(type(v) in (int, float) for record in records for v in record)
+        assert analysis._shared_pass is None  # released when the run ends
+
+
 class TestMonomialsCommand:
     def test_writes_canonical_json(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
@@ -433,6 +474,11 @@ class TestGroupOrder:
                      "--signals", str(sigs)]) == 2
         assert "2**63" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("m", [2**63 - 1, 2**40])
+    def test_verify_refuses_orders_without_a_table(self, tmp_path, capsys, m):
+        assert main(["verify", "--config", self.config(tmp_path, m, (1, 2))]) == 2
+        assert f"action.m = {m} is too large" in capsys.readouterr().err
 
     def test_large_order_builds_promptly(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -12,7 +12,7 @@ from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          make_pipeline, make_reducer, make_translation_action,
                          measure, operator_norm, separating_set,
                          to_fourier_domain)
-from orbit_embed.embed import eval_partials
+from orbit_embed.embed import BLOCK_BYTES, PRODUCT_ROWS, embed_monomial_domain, eval_partials
 from orbit_embed.oracles import (finite_difference_gradient, gradient_discrepancy,
                                  svd_operator_norm)
 
@@ -431,7 +431,7 @@ class TestBatch:
             for row, xi in zip(batch, x):
                 alone = fn(pipeline, xi)
                 assert alone.shape == (k,)
-                assert np.linalg.norm(row - alone) <= 1e-14 * np.linalg.norm(alone)
+                assert_same_bits(row, alone)
         zero = ~x.any(axis=1)
         assert np.all(embed(pipeline, x)[zero] == 0)
         assert np.all(measure(pipeline, x)[zero] == 0)
@@ -453,6 +453,38 @@ class TestBatch:
     def test_three_dimensional_input_rejected(self, z12_pipeline):
         with pytest.raises(DimensionError):
             embed(z12_pipeline, np.ones((2, 2, 5)))
+
+
+class TestRowBitsDoNotDependOnTheBatch:
+    """Every row of embed, measure and embed_monomial_domain has the bits of the
+    same signal alone and inside any other split of its batch: the reducer
+    product runs in blocks of at least 64 rows and never on one row."""
+
+    @pytest.fixture(scope="class", params=["translation-8", "translation-32",
+                                           "translation-64", "diagonal-40"])
+    def pipeline(self, request):
+        form, n = request.param.split("-")
+        if form == "translation":
+            return make_pipeline(make_translation_action(int(n)), seed=42)
+        return make_pipeline(make_cyclic_action(7, [i % 7 for i in range(int(n))]), seed=42)
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_rows_match_alone_and_in_any_split(self, pipeline, data):
+        n, N = pipeline.action.n, pipeline.sset.size
+        step = max(PRODUCT_ROWS, BLOCK_BYTES // (16 * N))  # rows of one reducer product
+        S = data.draw(st.one_of(st.sampled_from([1, 2, 65, 129, step + 1, 2 * step + 1]),
+                                st.integers(1, 200)), label="S")
+        cut = data.draw(st.integers(0, S), label="cut")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+        x *= (10.0 ** rng.uniform(-3, 3, size=S))[:, None]
+        for fn in (embed, measure, embed_monomial_domain):
+            batch = fn(pipeline, x)
+            assert_same_bits(np.concatenate((fn(pipeline, x[:cut]), fn(pipeline, x[cut:]))),
+                             batch)
+            for row, xi in zip(batch, x):
+                assert_same_bits(fn(pipeline, xi), row)
 
 
 class TestLipschitzBound:
