@@ -2,12 +2,14 @@
 
 Each suite draws seeded samples, measures a worst-case statistic, and
 compares it against a fixed threshold. Sphere sampling uses normalized
-independent complex Gaussian coordinates (uniform on the unit sphere), and
-per-sample generators are derived deterministically from
-(master seed, sample index), so a report is a pure function of
-(pipeline, seed, samples). Samples are drawn and evaluated in blocks, so a
-suite's memory does not grow with its sample count; a reported worst case
-is the first sample, in index order, that attains it.
+independent complex Gaussian coordinates (uniform on the unit sphere).
+Sample i draws from numpy's stream ``default_rng(SeedSequence(seed,
+spawn_key=(i,)))`` (``oracles.sample_rng``), so a report is a pure function
+of (pipeline, seed, samples); the states of those streams are hashed per
+chunk of indices and set on one generator (``_sample_blocks``), without a
+SeedSequence or Generator per sample. Samples are drawn and evaluated in
+blocks, so a suite's memory does not grow with its sample count; a reported
+worst case is the first sample, in index order, that attains it.
 
 ``check_invariance`` and ``separation_margin`` read one orbit pass: Phi over
 the full orbit of each sample's first sphere point, of which only the
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -79,21 +82,110 @@ class VerificationReport(_Report):
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+# numpy's SeedSequence hash (NEP 19) and PCG64 seeding, in 32- and 128-bit words
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL_SIZE, _XSHIFT = 4, 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Samples whose states are hashed together; a power of two, so that no chunk
+# holds indices of both one and two 32-bit words.
+_STATE_CHUNK = 256
+
+
+def _uint32_words(value: int) -> list[int]:
+    # little-endian 32-bit words, [0] for 0 (numpy's _int_to_uint32_array)
+    value = int(value)
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_sequence_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for i in
+    ``range(start, stop)``, all of one word count, as rows: the ``mix_entropy``
+    hash in uint32 arithmetic, run once for the seed's words and over a uint32
+    array for the index words."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    # a spawn key pads the seed's words to the pool size
+    seed_words = _uint32_words(seed)
+    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    index = np.arange(start, stop, dtype=np.uint64)
+    entropy += [(index & _MASK32).astype(np.uint32)]
+    if start > _MASK32:
+        entropy.append((index >> 32).astype(np.uint32))
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: 8 words from the pool, read as 4 little-endian uint64
+    hash_const = _INIT_B
+    words = np.empty((stop - start, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words[:, i] = value ^ value >> _XSHIFT
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _stream_states(seed: int, start: int, stop: int):
+    """Yield ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(i,)))`` for i
+    in ``range(start, stop)``: PCG64's ``set_seed`` on each row of
+    :func:`_seed_sequence_states`, the 128-bit seed then the 128-bit sequence,
+    hashed in chunks of ``_STATE_CHUNK`` aligned indices."""
+    for chunk in range(start - start % _STATE_CHUNK, stop, _STATE_CHUNK):
+        for row in _seed_sequence_states(seed, max(start, chunk), min(stop, chunk + _STATE_CHUNK)):
+            seed_hi, seed_lo, seq_hi, seq_lo = row.tolist()
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+            yield ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
 
 
 def _sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
+    # the ziggurat reads the same words for one call of 2n as for two of n, and
+    # the norm is the expression np.linalg.norm evaluates for a complex vector
+    v = rng.standard_normal(2 * n)
+    z = v[:n] + 1j * v[n:]
+    re, im = z.real, z.imag
+    return z / math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _sample_blocks(seed: int, samples: int, width: int, draw):
     """Per block of samples of ``width`` complex values (``embed.blocks``), yield its
-    first index and ``draw(rng)``, a tuple per sample from its own stream, stacked."""
+    first index and ``draw(rng)``, a tuple per sample stacked, where sample i draws
+    from its own stream ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
+    (``oracles.sample_rng``): one generator, set to each sample's state."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    states = _stream_states(seed, 0, samples)
+
+    def sample(state):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state[0], "inc": state[1]},
+                               "has_uint32": 0, "uinteger": 0}
+        return draw(rng)
+
     for block in blocks(samples, width):
-        rngs = (_rng_for(seed, i) for i in range(block.start, block.stop))
-        yield (block.start, *map(np.array, zip(*map(draw, rngs))))
+        yield (block.start, *map(np.array, zip(*map(sample, islice(states, block.stop - block.start)))))
 
 
 class _OrbitPass(NamedTuple):

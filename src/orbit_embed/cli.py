@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -244,11 +245,17 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
 
 def _stack_signals(signals: list) -> np.ndarray:
     # 1-d signals of one common length -> one complex (S, n) array, (0, 0) for none
-    width = len(signals[0]) if signals else 0
-    for idx, sig in enumerate(signals):
-        if len(sig) != width:
-            raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
+    width = _common_length([len(sig) for sig in signals])
     return np.array(signals, dtype=np.complex128).reshape(len(signals), width)
+
+
+def _common_length(lengths: list[int]) -> int:
+    # the length of every signal, 0 for none
+    width = lengths[0] if lengths else 0
+    for idx, length in enumerate(lengths):
+        if length != width:
+            raise DataError(f"signal {idx} has length {length}, signal 0 has length {width}")
+    return width
 
 
 def _complex_pairs(pairs) -> np.ndarray:
@@ -284,35 +291,99 @@ def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
 
 
 def _signals_from_csv(text: str, path: str) -> np.ndarray:
-    reader = csv.reader(text.splitlines())
-    groups: dict[str, dict[int, complex]] = {}
+    """One parse: the fields in four columns, converted column by column and
+    placed by (signal id, index). A malformed file raises the error of its
+    first bad row, as reading it row by row would."""
+    lines = text.splitlines()
+    quoted = '"' in text or max(map(len, lines)) > csv.field_size_limit()
+    if quoted:
+        records, unreadable = _csv_records(lines, path)
+        header, rows = records[0], list(filter(None, records[1:]))
+        widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    else:
+        # the csv module would split each line at its commas, and read an
+        # empty line as a row without fields
+        records, unreadable = lines, None
+        header, rows = lines[0].split(",") if lines[0] else [], list(filter(None, lines[1:]))
+        widths = 1 + np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64,
+                                 count=len(rows))
+    if [h.strip() for h in header] != ["signal_id", "index", "re", "im"]:
+        raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
+    end = int(np.argmax(widths != 4)) if (widths != 4).any() else len(rows)
+    if quoted:
+        columns = tuple(map(list, zip(*rows[:end]))) or ([],) * 4
+    else:
+        fields = ",".join(rows[:end]).split(",") if end else []
+        columns = tuple(fields[i::4] for i in range(4))
+    sids = columns[0]
+    converted = [_convert(parse, column) for parse, column in zip((int, float, float), columns[1:])]
+    (index, _), (re, _), (im, _) = converted
+    # the first row, in order, that fails: its field count, or the first of its
+    # index, re and im that does not convert
+    bad, _, exc = min([(len(values), field, exc)
+                       for field, (values, exc) in enumerate(converted) if exc],
+                      default=(end, 0, None))
+    # signal ids and indices as codes, in order of first appearance
+    (ids, group), (values, code) = _codes(sids), _codes(index)
+    repeat_at = _first_repeat(group[:bad], code[:bad])
+    if repeat_at is not None:
+        raise DataError(f"{path}: signal {sids[repeat_at]!r} repeats index {index[repeat_at]}")
+    if bad < len(rows):
+        lineno = [i for i, row in enumerate(records[1:], start=2) if row][bad]
+        raise DataError(f"{path}: line {lineno}: "
+                        + (str(exc) if exc else f"expected 4 fields, got {widths[bad]}")) from exc
+    if unreadable is not None:
+        raise unreadable
+    counts = np.bincount(group, minlength=len(ids))
+    # -1 for an index outside every signal
+    at = np.array([i if 0 <= i < len(rows) else -1 for i in values], dtype=np.int64)[code]
+    ragged = (at < 0) | (at >= counts[group])
+    if ragged.any():
+        g = int(group[ragged].min())
+        raise DataError(f"{path}: signal {ids[g]!r} has ragged indices "
+                        f"(expected 0..{counts[g] - 1})")
+    pairs = np.empty((len(ids), _common_length(counts.tolist()), 2))
+    pairs[group, at] = np.column_stack((re, im))
+    return _complex_pairs(pairs)
+
+
+def _csv_records(lines: list[str], path: str) -> tuple[list[list[str]], DataError | None]:
+    # the csv module's rows, header first, and the DataError of a csv.Error
+    # that ended the reading (the rows before it are kept)
+    reader = csv.reader(lines)
+    records: list[list[str]] = []
     try:
-        if [h.strip() for h in next(reader, [])] != ["signal_id", "index", "re", "im"]:
-            raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            sid = row[0]
-            try:
-                index = int(row[1])
-                value = complex(float(row[2]), float(row[3]))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            entries = groups.setdefault(sid, {})
-            if index in entries:
-                raise DataError(f"{path}: signal {sid!r} repeats index {index}")
-            entries[index] = value
+        records.extend(reader)
     except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
-    signals = []
-    for sid, entries in groups.items():
-        if sorted(entries) != list(range(len(entries))):
-            raise DataError(f"{path}: signal {sid!r} has ragged indices "
-                            f"(expected 0..{len(entries) - 1})")
-        signals.append([entries[i] for i in range(len(entries))])
-    return _stack_signals(signals)
+        if not records:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+        return records, DataError(f"{path}: line {reader.line_num}: {exc}")
+    return records, None
+
+
+def _convert(parse, fields: list[str]) -> tuple[list, ValueError | None]:
+    # parse(field) for each field up to the first that fails, and its error
+    values: list = []
+    try:
+        values.extend(map(parse, fields))
+    except ValueError as exc:
+        return values, exc
+    return values, None
+
+
+def _codes(column: list) -> tuple[list, np.ndarray]:
+    # the distinct values in order of first appearance, and each entry's position among them
+    distinct = list(dict.fromkeys(column))
+    positions = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(positions.__getitem__, column), dtype=np.int64,
+                                 count=len(column))
+
+
+def _first_repeat(group: np.ndarray, at: np.ndarray) -> int | None:
+    # the first row whose (group, at) an earlier row has, or None
+    order = np.lexsort((at, group))  # stable: equal keys in row order
+    same = (np.diff(group[order]) == 0) & (np.diff(at[order]) == 0)
+    return int(order[1:][same].min()) if same.any() else None
 
 
 def save_signals(path: str, signals: np.ndarray, fmt: str = "json") -> None:
@@ -450,7 +521,7 @@ def golden_fixture_values(seed: int = 7) -> dict:
         svd_norm = oracles.svd_operator_norm(pipeline.reducer.entries)
         norm = operator_norm(pipeline.reducer)
         margin_report = analysis.separation_margin(pipeline, 1000, 0.1, seed)
-        z = np.array([analysis._sphere_point(analysis._rng_for(seed, i), pipeline.diag.n)
+        z = np.array([analysis._sphere_point(oracles.sample_rng(seed, i), pipeline.diag.n)
                       for i in range(20)])
         grad_err = float(oracles.gradient_discrepancy(pipeline.sset, z).max())
         doc[name] = {

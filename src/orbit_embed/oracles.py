@@ -2,9 +2,11 @@
 
 These deliberately avoid the implementation paths they check: operator norms
 come from a dense SVD rather than a Gram-matrix eigenvalue, gradients from central
-finite differences rather than the analytic formulas, and orbit facts from
+finite differences rather than the analytic formulas, orbit facts from
 plain per-element enumeration of the generator's definition (a cyclic shift,
-or phases exp(2*pi*i*k*e/m)) rather than the action's lookup tables.
+or phases exp(2*pi*i*k*e/m)) rather than the action's lookup tables, and
+each sample's random stream from numpy's own SeedSequence rather than the
+suites' hash of its state.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from .invariants import SeparatingSet
 # Central-difference step, and the distance under which two signals count as equal.
 FD_STEP = 1e-6
 SAME_ORBIT_TOL = 1e-9
+
+
+def sample_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of sample ``index`` under master ``seed``: numpy's own
+    ``SeedSequence`` with the index as spawn key, which the suites' block
+    sampler reproduces without building one."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def svd_operator_norm(matrix) -> float:

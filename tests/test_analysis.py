@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_embed import (HypothesisError, ParameterError, act,
                          check_invariance, coordinate_order, embed,
@@ -15,7 +17,9 @@ from orbit_embed import (HypothesisError, ParameterError, act,
                          prime_case_report, prime_collision_pair,
                          prime_fourier_map, quotient_distance,
                          separation_margin, sup_norm_check, tilde_rescale)
-from orbit_embed.analysis import _rng_for, _sphere_point
+from orbit_embed import analysis
+from orbit_embed.analysis import _sphere_point
+from orbit_embed.oracles import sample_rng
 
 from conftest import unit_vector
 
@@ -374,12 +378,12 @@ class TestWorstCaseReplay:
 
     @staticmethod
     def pair(seed, sample, n):
-        rng = _rng_for(seed, sample)
+        rng = sample_rng(seed, sample)
         return _sphere_point(rng, n), _sphere_point(rng, n)
 
     def test_lipschitz(self, pipeline):
         report = empirical_lipschitz(pipeline, samples=2000, seed=7)
-        rng = _rng_for(7, report.cases[0]["sample"])
+        rng = sample_rng(7, report.cases[0]["sample"])
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
         x, y = (s * _sphere_point(rng, pipeline.action.n) for s in scales)
         ratio = (np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))
@@ -401,6 +405,71 @@ class TestWorstCaseReplay:
         assert lam == pytest.approx(report.cases[0]["lambda"], rel=1e-12)
         resid = np.linalg.norm(hx - lam * hy)
         assert resid == pytest.approx(report.statistic, rel=1e-12)
+
+
+# seeds of one word (0 too), of two, and of more words than the hash pool holds
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
+CHUNK = analysis._STATE_CHUNK
+
+
+def oracle_state(seed, index):
+    state = sample_rng(seed, index).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestSampleStreams:
+    """The block sampler's per-sample states, hashed per chunk of indices, and
+    the draws made from them are those of numpy's own per-sample stream."""
+
+    @given(seed=st.sampled_from(STREAM_SEEDS), start=st.integers(0, 3 * CHUNK),
+           count=st.integers(1, 2 * CHUNK))
+    @settings(max_examples=30, deadline=None)
+    def test_states_match_the_oracle(self, seed, start, count):
+        states = list(analysis._stream_states(seed, start, start + count))
+        assert states == [oracle_state(seed, i) for i in range(start, start + count)]
+
+    @given(seed=st.sampled_from(STREAM_SEEDS), below=st.integers(0, CHUNK + 2),
+           above=st.integers(0, CHUNK + 2))
+    @settings(max_examples=20, deadline=None)
+    def test_states_around_two_word_indices(self, seed, below, above):
+        # indices of one and of two 32-bit words, without drawing 2**32 samples
+        start, stop = 2**32 - below, 2**32 + above
+        states = list(analysis._stream_states(seed, start, stop))
+        assert states == [oracle_state(seed, i) for i in range(start, stop)]
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_seed_sequence_words(self, seed):
+        words = analysis._seed_sequence_states(seed, CHUNK - 3, CHUNK + 3)
+        assert words.dtype == np.uint64
+        for i, row in zip(range(CHUNK - 3, CHUNK + 3), words):
+            expected = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist()
+
+    @given(seed=st.sampled_from(STREAM_SEEDS), samples=st.integers(1, 2 * CHUNK + 5),
+           width=st.integers(1, 5000))
+    @settings(max_examples=15, deadline=None)
+    def test_draws_match_the_oracle(self, seed, samples, width):
+        def draw(rng):
+            # every kind of draw a suite makes, in one sample
+            return _sphere_point(rng, 5), rng.uniform(-3.0, 3.0, size=2), int(rng.integers(1, 12))
+
+        starts = []
+        for start, x, u, k in analysis._sample_blocks(seed, samples, width, draw):
+            starts.append(start)
+            for j in range(len(x)):
+                rx, ru, rk = draw(sample_rng(seed, start + j))
+                assert x[j].tobytes() == rx.tobytes() and u[j].tobytes() == ru.tobytes()
+                assert k[j] == rk
+        assert starts == list(range(0, samples, starts[1] if len(starts) > 1 else samples))
+
+    def test_sphere_point_keeps_the_two_call_bits(self):
+        # one call of 2n reads the words of two calls of n, normed as np.linalg.norm
+        for n in (1, 5, 8, 64):
+            for i in range(50):
+                rng = sample_rng(3, i)
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                expected = z / np.linalg.norm(z)
+                assert _sphere_point(sample_rng(3, i), n).tobytes() == expected.tobytes()
 
 
 SAMPLING_SUITES = {

@@ -1,17 +1,20 @@
 import copy
+import csv
 import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orbit_embed import analysis
+from orbit_embed import analysis, cli, oracles
 from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
+from orbit_embed.embed import blocks
 from orbit_embed.errors import DataError, ParameterError
 
 Z12_CONFIG = {
@@ -431,6 +434,51 @@ class TestSharedOrbitPass:
         assert analysis._shared_pass is None  # released when the run ends
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# per suite, few samples, but more than a state chunk for the 10,000-sample suites
+SMALL_SAMPLES = {"invariance": 30, "separation": 40, "lipschitz": 300,
+                 "nonparallel": 60, "sup_norm": 300, "prime": 40}
+
+
+def oracle_sample_blocks(seed, samples, width, draw):
+    # the stream's definition: one SeedSequence and Generator per sample
+    for block in blocks(samples, width):
+        rngs = (oracles.sample_rng(seed, i) for i in range(block.start, block.stop))
+        yield (block.start, *map(np.array, zip(*map(draw, rngs))))
+
+
+def two_call_sphere_point(rng, n):
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
+class TestSampleStreamBytes:
+    """Every suite of the shipped configs, shared orbit pass included, writes
+    the bytes of a run that draws each sample from its own SeedSequence and
+    Generator, at the configs' seed and at one of several 32-bit words."""
+
+    @staticmethod
+    def reports(tmp_path, name, seed):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        for suite, params in doc["suites"].items():
+            params.update({"samples": SMALL_SAMPLES[suite]} if "samples" in params else {})
+        doc.update(seed=seed, out=str(tmp_path / "out"))
+        tmp_path.mkdir()
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+        return {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()
+                if path.name != "summary.json"}
+
+    @pytest.mark.parametrize("seed", [7, 2**40 + 3])
+    @pytest.mark.parametrize("name", ["z12_c5", "translation_c8", "minus_identity_c2"])
+    def test_reports_match_the_per_sample_streams(self, tmp_path, capsys, monkeypatch,
+                                                  name, seed):
+        blocked = self.reports(tmp_path / "blocked", name, seed)
+        monkeypatch.setattr(analysis, "_sample_blocks", oracle_sample_blocks)
+        monkeypatch.setattr(analysis, "_sphere_point", two_call_sphere_point)
+        per_sample = self.reports(tmp_path / "per_sample", name, seed)
+        assert len(blocked) > 1 and blocked == per_sample
+
+
 class TestMonomialsCommand:
     def test_writes_canonical_json(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
@@ -645,6 +693,125 @@ class TestEmbedFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_arbitrary_bytes(self, tmp_path, capsys, data, fmt):
         self.run_embed(tmp_path, data, fmt)
+
+
+def per_row_csv_signals(text, path):
+    """The CSV format's definition, one row at a time: the signals as an
+    array, or the DataError of the first bad row."""
+    reader = csv.reader(text.splitlines())
+    groups = {}
+    try:
+        if [h.strip() for h in next(reader, [])] != ["signal_id", "index", "re", "im"]:
+            raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+            sid = row[0]
+            try:
+                index = int(row[1])
+                value = complex(float(row[2]), float(row[3]))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            entries = groups.setdefault(sid, {})
+            if index in entries:
+                raise DataError(f"{path}: signal {sid!r} repeats index {index}")
+            entries[index] = value
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    signals = []
+    for sid, entries in groups.items():
+        if sorted(entries) != list(range(len(entries))):
+            raise DataError(f"{path}: signal {sid!r} has ragged indices "
+                            f"(expected 0..{len(entries) - 1})")
+        signals.append([entries[i] for i in range(len(entries))])
+    width = len(signals[0]) if signals else 0
+    for idx, sig in enumerate(signals):
+        if len(sig) != width:
+            raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
+    return np.array(signals, dtype=np.complex128).reshape(len(signals), width)
+
+
+def near_csv_texts():
+    """CSV texts with every kind of fault the format names: odd fields, rows of
+    3 or 5 fields, repeated or missing indices, blank lines, quotes, NUL."""
+    sid = st.sampled_from(["0", "1", "2", "a", " 0", '"1"', '"0,1"'])
+    index = st.sampled_from(["0", "1", "2", "0", "1", "2", "3", "-1", "x", "", " 2", "1_0",
+                             "9" * 25, "-" + "9" * 25, "9" * 5000, '"1"', "١"])
+    value = st.sampled_from(["0", "1.5", "-0.0", "2e-308", "nan", "inf", "1e400", "x", "",
+                             " 2 ", "1_0.5", "١", "0x1", '"3"', '"0,0"', "1\x00", '"', "b\"c"])
+    good = st.tuples(st.sampled_from(["0", "1", "a"]), st.sampled_from(["0", "1", "2"]),
+                     st.sampled_from(["0", "1.5", "-0.0"]), st.sampled_from(["0", "2e-308"]))
+    row = (good | good | good | st.tuples(sid, index, value, value)
+           | st.lists(sid | index | value, min_size=3, max_size=5))
+    header = st.sampled_from(["signal_id,index,re,im", " signal_id , index,re,im"]) | st.just(
+        "signal_id,index,re,im") | st.just("signal_id,index,re,im") | st.sampled_from(
+        ["id,index,re,im", "", '"signal_id"'])
+    lines = st.lists(row.map(",".join) | st.just(""), max_size=12)
+    return st.builds(lambda head, body, end: end.join([head] + body) + end,
+                     header, lines, st.sampled_from(["\n", "\r\n"]))
+
+
+def valid_csv_texts():
+    """Well-formed CSV texts: signals of one length, rows in any order."""
+    def layout(values, order):
+        rows = [f"{sid},{i},{re!r},{im!r}" for sid, sig in enumerate(values)
+                for i, (re, im) in enumerate(sig)]
+        return "\n".join(["signal_id,index,re,im"] + [rows[k % len(rows)] for k in order]
+                         if rows else ["signal_id,index,re,im"]) + "\n"
+
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    signals = st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(st.tuples(number, number), min_size=n, max_size=n),
+                           min_size=1, max_size=4))
+    return st.builds(lambda values, shuffle: layout(values, shuffle(
+        range(sum(map(len, values))))), signals, st.randoms().map(
+        lambda r: lambda items: r.sample(list(items), len(items))))
+
+
+class TestCsvReader:
+    """The column-wise reader gives the per-row reader's array, bit for bit, or
+    its error message."""
+
+    @staticmethod
+    def both(text):
+        outcomes = []
+        for read in (cli._signals_from_csv, per_row_csv_signals):
+            try:
+                outcomes.append(read(text, "f.csv").tobytes())
+            except DataError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @given(text=near_csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_faulty_files(self, text):
+        new, old = self.both(text)
+        assert new == old
+
+    @given(text=valid_csv_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_files(self, text):
+        new, old = self.both(text)
+        assert isinstance(new, bytes) and new == old
+
+    @pytest.mark.parametrize("text", [
+        "signal_id,index,re,im\n0,0," + "1" * 200_000 + ",0\n",
+        "signal_id,index,re,im\n0,x,1,0\n0,0," + "1" * 200_000 + ",0\n",
+        "signal_id,index,re,im\n0,0,1,0\n0,0," + "1" * 200_000 + ",0\n",
+        "signal_id," + "1" * 200_000 + "\n0,0,1,0\n",
+        "signal_id,index,re,im\n0,0,1,0\n0,1,\"2\n3\",0\n",
+        f"signal_id,index,re,im\n0,{10**30},1,0\n0,{10**30},1,0\n",
+        f"signal_id,index,re,im\n0,{10**30},1,0\n0,{10**30 + 1},1,0\n",
+        "signal_id,index,re,im\n\n\n0,1,1,0\n\n0,0,2,0\n",
+        "signal_id,index,re,im\na,0,1,0\na,1,1,0\nb,0,1,0\n",
+    ], ids=["long-field", "bad-row-before-long-field", "repeat-before-long-field",
+            "long-header", "quoted-newline", "huge-repeat", "huge-distinct", "blank-lines",
+            "unequal-lengths"])
+    def test_edge_files(self, text):
+        new, old = self.both(text)
+        assert new == old
 
 
 def config_documents():
