@@ -16,7 +16,6 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -291,30 +290,17 @@ def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
 
 
 def _signals_from_csv(text: str, path: str) -> np.ndarray:
-    """One parse: the fields in four columns, converted column by column and
-    placed by (signal id, index). A malformed file raises the error of its
-    first bad row, as reading it row by row would."""
-    lines = text.splitlines()
-    quoted = '"' in text or max(map(len, lines)) > csv.field_size_limit()
-    if quoted:
-        records, unreadable = _csv_records(lines, path)
-        header, rows = records[0], list(filter(None, records[1:]))
-        widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    else:
-        # the csv module would split each line at its commas, and read an
-        # empty line as a row without fields
-        records, unreadable = lines, None
-        header, rows = lines[0].split(",") if lines[0] else [], list(filter(None, lines[1:]))
-        widths = 1 + np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64,
-                                 count=len(rows))
+    """One parse: the csv module's fields in four columns, converted column by
+    column and placed by (signal id, index). A malformed file raises the error
+    of its first bad row, as reading it row by row would."""
+    header, widths, fields, unreadable = _csv_fields(text.splitlines(), path)
     if [h.strip() for h in header] != ["signal_id", "index", "re", "im"]:
         raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
-    end = int(np.argmax(widths != 4)) if (widths != 4).any() else len(rows)
-    if quoted:
-        columns = tuple(map(list, zip(*rows[:end]))) or ([],) * 4
-    else:
-        fields = ",".join(rows[:end]).split(",") if end else []
-        columns = tuple(fields[i::4] for i in range(4))
+    # the records after the header that are not empty lines, and their field counts
+    rows = np.flatnonzero(widths)
+    width = widths[rows]
+    end = int(np.argmax(width != 4)) if (width != 4).any() else len(rows)
+    columns = tuple(fields[i:4 * end:4] for i in range(4))
     sids = columns[0]
     converted = [_convert(parse, column) for parse, column in zip((int, float, float), columns[1:])]
     (index, _), (re, _), (im, _) = converted
@@ -329,9 +315,8 @@ def _signals_from_csv(text: str, path: str) -> np.ndarray:
     if repeat_at is not None:
         raise DataError(f"{path}: signal {sids[repeat_at]!r} repeats index {index[repeat_at]}")
     if bad < len(rows):
-        lineno = [i for i, row in enumerate(records[1:], start=2) if row][bad]
-        raise DataError(f"{path}: line {lineno}: "
-                        + (str(exc) if exc else f"expected 4 fields, got {widths[bad]}")) from exc
+        raise DataError(f"{path}: line {rows[bad] + 2}: "
+                        + (str(exc) if exc else f"expected 4 fields, got {width[bad]}")) from exc
     if unreadable is not None:
         raise unreadable
     counts = np.bincount(group, minlength=len(ids))
@@ -347,18 +332,27 @@ def _signals_from_csv(text: str, path: str) -> np.ndarray:
     return _complex_pairs(pairs)
 
 
-def _csv_records(lines: list[str], path: str) -> tuple[list[list[str]], DataError | None]:
-    # the csv module's rows, header first, and the DataError of a csv.Error
-    # that ended the reading (the rows before it are kept)
+def _csv_fields(lines: list[str], path: str) -> tuple[list[str], np.ndarray, list[str],
+                                                    DataError | None]:
+    # the csv module's header, the field count of each later record, all their
+    # fields in one list, and the DataError of a csv.Error that ended the
+    # reading (the records before it are kept); the records are not held, as a
+    # list of them makes the garbage collector walk it again and again
     reader = csv.reader(lines)
-    records: list[list[str]] = []
+    header: list[str] | None = None
+    widths: list[int] = []
+    fields: list[str] = []
+    error = None
     try:
-        records.extend(reader)
+        header = next(reader, [])
+        for row in reader:
+            widths.append(len(row))
+            fields += row
     except csv.Error as exc:
-        if not records:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
-        return records, DataError(f"{path}: line {reader.line_num}: {exc}")
-    return records, None
+        error = DataError(f"{path}: line {reader.line_num}: {exc}")
+        if header is None:
+            raise error from exc
+    return header, np.array(widths, dtype=np.int64), fields, error
 
 
 def _convert(parse, fields: list[str]) -> tuple[list, ValueError | None]:
