@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import tracemalloc
@@ -488,13 +489,22 @@ def test_memory_does_not_grow_with_samples(z12_pipeline, monkeypatch, suite):
     # every suite and the run stays short
     monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 64 * 1024)
     run = SAMPLING_SUITES[suite]
-    run(z12_pipeline, 1)  # builds the cached tables
+    # builds the cached tables and fills CPython's free lists, which hold up to
+    # 2,000 freed tuples of each size; a full collection empties them, so none
+    # may run before the measured runs are done
+    run(z12_pipeline, 3000)
     peaks = []
-    for samples in (300, 3000):
-        tracemalloc.start()
-        try:
-            run(z12_pipeline, samples)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for samples in (300, 3000):
+            tracemalloc.start()
+            try:
+                run(z12_pipeline, samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        if enabled:
+            gc.enable()
     assert peaks[1] <= 1.05 * peaks[0], peaks

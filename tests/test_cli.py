@@ -331,6 +331,16 @@ class TestVerifyCommand:
         assert main(["verify", "--config", write_config(tmp_path, doc)]) == 1
         assert "separation: FAIL" in capsys.readouterr().out
 
+    def test_no_suites_writes_a_failed_summary_and_exits_one(self, tmp_path, capsys):
+        # a run that checks nothing does not pass
+        out_dir = tmp_path / "rep"
+        doc = dict(Z12_CONFIG, suites={}, out=str(out_dir))
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out_dir.iterdir()] == ["summary.json"]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["pass"] is False and summary["suites"] == {}
+
     def test_identical_runs_are_byte_identical(self, tmp_path, capsys):
         out_dir = tmp_path / "rep"
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(out_dir)))
@@ -771,8 +781,9 @@ def valid_csv_texts():
 
 
 class TestCsvReader:
-    """The column-wise reader gives the per-row reader's array, bit for bit, or
-    its error message."""
+    """``cli._signals_from_csv`` gives the array of the format's definition,
+    ``per_row_csv_signals``, bit for bit, or its error message. The definition
+    is written here, apart from the reader it checks."""
 
     @staticmethod
     def both(text):
