@@ -12,21 +12,21 @@ blocks, so a suite's memory does not grow with its sample count; a reported
 worst case is the first sample, in index order, that attains it.
 
 ``check_invariance`` and ``separation_margin`` read one orbit pass: Phi over
-the full orbit of each sample's first sphere point, of which only the
-records of two running maxima are kept (see ``_OrbitPass``). Within a
-``verify`` run (``_sharing_orbit_pass``) the two suites share it, and a
-smaller sample count reads a prefix of a larger pass. Rows of ``embed`` are
-bit-identical in any batch, so a shared run writes the same report bytes as
-each suite run alone.
+the full orbit of each sample's first sphere point, of which only two running
+maxima are kept (``_orbit_pass``). A caller that runs both on one pipeline can
+share it by passing both the same dict as ``passes``, a memo keyed by
+``(seed, samples)``: ``verify`` makes one per run, so two suites at the same
+seed and sample count compute one pass, and at different counts two. Without
+``passes`` a suite computes its own pass and keeps nothing. Rows of ``embed``
+are bit-identical in any batch, so a shared run writes the same report bytes
+as each suite run alone.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -188,86 +188,37 @@ def _sample_blocks(seed: int, samples: int, width: int, draw):
         yield (block.start, *map(np.array, zip(*map(sample, islice(states, block.stop - block.start)))))
 
 
-class _OrbitPass(NamedTuple):
-    """A map f over the orbits of samples 0..samples-1, the orbit of sample i
-    being that of its stream's first sphere point x. Kept are the records, in
-    sample order, at which the running maximum strictly rises:
+def _orbit_pass(action: CyclicAction, f, samples: int, seed: int, width: int):
+    """The orbit pass of f, which maps rows to rows of ``width``: f over the
+    orbit of the first sphere point x of each sample 0..samples-1, reduced to
+    ``(worst, spread)``, two maxima kept running per block:
 
-    * ``deviation``: ``(sample, k, value)`` of the relative deviation
-      ``max_k ||f(T^k x) - f(x)|| / (1 + ||f(x)||)``, k the first attaining it;
-    * ``spread``: ``(sample, value)`` of ``max_k ||f(T^k x) - f(x)||``.
-
-    So the maximum over any prefix of the samples, and the first sample that
-    attains it, is the last record below the prefix's end.
+    * ``worst``: ``(sample, k, value)`` of the largest relative deviation
+      ``||f(T^k x) - f(x)|| / (1 + ||f(x)||)``, at the first sample and then the
+      first k that attain it; None if no deviation beats 0;
+    * ``spread``: the largest gap ``||f(T^k x) - f(x)||``, a float.
     """
-
-    samples: int
-    deviation: list[tuple[int, int, float]]
-    spread: list[tuple[int, float]]
-
-
-def _last_record(records: list[tuple], samples: int) -> tuple | None:
-    """The record of the maximum over samples 0..samples-1, or None if no
-    sample beats 0."""
-    below = [record for record in records if record[0] < samples]
-    return below[-1] if below else None
-
-
-def _add_records(records: list[tuple], start: int, values: np.ndarray, *more: np.ndarray) -> None:
-    # append (start + i, *more[i], values[i]) for each i whose value beats every
-    # earlier value and 0
-    best = records[-1][-1] if records else 0.0
-    for i in np.flatnonzero(values > best):
-        if values[i] > best:
-            best = float(values[i])
-            records.append((start + int(i), *(int(a[i]) for a in more), best))
-
-
-def _orbit_pass(action: CyclicAction, f, samples: int, seed: int, width: int) -> _OrbitPass:
-    """The :class:`_OrbitPass` of ``f``, which maps rows to rows of ``width``."""
     n, m = action.n, action.m
-    deviation: list[tuple[int, int, float]] = []
-    spread: list[tuple[int, float]] = []
+    worst, spread = None, 0.0
     for start, x in _sample_blocks(seed, samples, m * max(n, width),
                                    lambda rng: (_sphere_point(rng, n),)):
         values = f(orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)  # k = 0 is x
         gaps = np.linalg.norm(values - values[:, :1], axis=-1)  # 0 at k = 0
         dev = gaps / (1.0 + np.linalg.norm(values[:, :1], axis=-1))
-        k = dev.argmax(axis=1)
-        _add_records(deviation, start, dev[np.arange(len(x)), k], k)
-        _add_records(spread, start, gaps.max(axis=1))
-    return _OrbitPass(samples, deviation, spread)
+        i, k = divmod(int(dev.argmax()), m)  # sample-major: the first sample, then k
+        if dev[i, k] > (worst[2] if worst else 0.0):
+            worst = (start + i, k, float(dev[i, k]))
+        spread = max(spread, float(gaps.max()))
+    return worst, spread
 
 
-# While a run shares the orbit pass (_sharing_orbit_pass): () or the last
-# (pipeline, seed, pass); None otherwise.
-_shared_pass: tuple | None = None
-
-
-@contextmanager
-def _sharing_orbit_pass():
-    """Within the block, suites on one pipeline and seed share one orbit pass:
-    a one-entry memo keyed on the pipeline's identity (comparing pipelines
-    would compare every monomial) and the seed."""
-    global _shared_pass
-    _shared_pass = ()
-    try:
-        yield
-    finally:
-        _shared_pass = None
-
-
-def _embedding_orbit_pass(pipeline: Pipeline, samples: int, seed: int) -> _OrbitPass:
-    """The orbit pass of Phi, shared where :func:`_sharing_orbit_pass` is active."""
-    global _shared_pass
-    shared = _shared_pass
-    if shared and shared[0] is pipeline and shared[1] == seed and shared[2].samples >= samples:
-        return shared[2]
-    result = _orbit_pass(pipeline.action, lambda u: embed(pipeline, u), samples, seed,
-                         pipeline.target_dim)
-    if shared is not None:
-        _shared_pass = (pipeline, seed, result)
-    return result
+def _embedding_orbit_pass(pipeline: Pipeline, samples: int, seed: int, passes: dict | None):
+    """The orbit pass of Phi, kept in ``passes`` by ``(seed, samples)`` if given."""
+    passes = {} if passes is None else passes
+    if (seed, samples) not in passes:
+        passes[seed, samples] = _orbit_pass(pipeline.action, lambda u: embed(pipeline, u),
+                                            samples, seed, pipeline.target_dim)
+    return passes[seed, samples]
 
 
 def _parallel_fit(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -280,17 +231,19 @@ def _parallel_fit(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
     return ok, lam, np.linalg.norm(g - lam[:, None] * h, axis=-1)
 
 
-def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> VerificationReport:
+def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0, *,
+                     passes: dict | None = None) -> VerificationReport:
     """Max relative deviation of Phi over full orbits of random unit signals.
 
     The zero signal is always included as a forced case; its embeddings must
-    vanish exactly, not merely be small.
+    vanish exactly, not merely be small. ``passes`` is a memo of orbit passes
+    that one caller keeps for this pipeline (see the module docstring).
     """
     check_param(samples=samples, seed=seed)
     action = pipeline.action
     worst = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
     case = None
-    record = _last_record(_embedding_orbit_pass(pipeline, samples, seed).deviation, samples)
+    record, _ = _embedding_orbit_pass(pipeline, samples, seed, passes)
     if record and record[2] > worst:
         worst = record[2]
         case = {"sample": record[0], "k": record[1], "deviation": worst}
@@ -301,20 +254,20 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0) -> Verific
 
 
 def separation_margin(pipeline: Pipeline, samples: int, delta: float,
-                      seed: int = 0) -> VerificationReport:
+                      seed: int = 0, *, passes: dict | None = None) -> VerificationReport:
     """Smallest embedding distance between clearly distinct orbits.
 
     Injectivity holds for a generic reducer draw; sampling verifies it
     quantitatively: among random unit pairs with quotient distance >= delta,
     the minimum of ||Phi(x)-Phi(y)|| must be positive and exceed the
     same-orbit leakage (which must itself stay below 1e-10) by a factor of
-    ``SEPARATION_HEADROOM``.
+    ``SEPARATION_HEADROOM``. ``passes`` is a memo of orbit passes that one
+    caller keeps for this pipeline (see the module docstring).
     """
     check_param(delta=delta, samples=samples, seed=seed)
     action = pipeline.action
     n = action.n
-    record = _last_record(_embedding_orbit_pass(pipeline, samples, seed).spread, samples)
-    leakage = record[1] if record else 0.0
+    _, leakage = _embedding_orbit_pass(pipeline, samples, seed, passes)
     margin = math.inf
     qualifying = 0
     cases: list[dict] = []
@@ -600,8 +553,8 @@ def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> Verifica
     """Demonstrate that the prime-case map is invariant yet non-separating."""
     check_param(samples=samples, p=p, seed=seed)
     modulation = make_cyclic_action(p, range(p))
-    record = _last_record(_orbit_pass(modulation, lambda u: prime_fourier_map(p, u),
-                                      samples, seed, 2 * p - 2).deviation, samples)
+    record, _ = _orbit_pass(modulation, lambda u: prime_fourier_map(p, u), samples, seed,
+                            2 * p - 2)
     worst = record[2] if record else 0.0
     x, y = prime_collision_pair(p)
     map_gap = float(np.linalg.norm(prime_fourier_map(p, x) - prime_fourier_map(p, y)))

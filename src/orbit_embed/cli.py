@@ -30,8 +30,10 @@ from .invariants import separating_set_to_json
 
 class Suite(NamedTuple):
     defaults: dict
-    # run(pipeline, params, seed); looks up analysis.<fn> at call time, so a
-    # rebound module attribute (e.g. a traced wrapper) is the one called
+    # run(pipeline, params, seed, passes), passes being the dict of orbit passes
+    # that a verify run keeps for its pipeline (or None); looks up analysis.<fn>
+    # at call time, so a rebound module attribute (e.g. a traced wrapper) is the
+    # one called
     run: Callable
 
 
@@ -39,29 +41,30 @@ class Suite(NamedTuple):
 SUITES = {
     "invariance": Suite(
         {"samples": 1000},
-        lambda pipeline, p, seed: analysis.check_invariance(pipeline, p["samples"], seed)),
+        lambda pipeline, p, seed, passes: analysis.check_invariance(
+            pipeline, p["samples"], seed, passes=passes)),
     "separation": Suite(
         {"samples": 1000, "delta": 0.1},
-        lambda pipeline, p, seed: analysis.separation_margin(
-            pipeline, p["samples"], p["delta"], seed)),
+        lambda pipeline, p, seed, passes: analysis.separation_margin(
+            pipeline, p["samples"], p["delta"], seed, passes=passes)),
     "lipschitz": Suite(
         {"samples": 10000},
-        lambda pipeline, p, seed: analysis.empirical_lipschitz(pipeline, p["samples"], seed)),
+        lambda pipeline, p, seed, _: analysis.empirical_lipschitz(pipeline, p["samples"], seed)),
     "nonparallel": Suite(
         {"samples": 1000, "delta": 0.1},
-        lambda pipeline, p, seed: analysis.nonparallel_falsification(
+        lambda pipeline, p, seed, _: analysis.nonparallel_falsification(
             pipeline, p["samples"], p["delta"], seed)),
     "sup_norm": Suite(
         {"samples": 10000},
-        lambda pipeline, p, seed: analysis.sup_norm_check(pipeline.sset, p["samples"], seed)),
+        lambda pipeline, p, seed, _: analysis.sup_norm_check(pipeline.sset, p["samples"], seed)),
     "sweep": Suite(
         {"epsilons": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], "witness": None},
-        lambda pipeline, p, seed: analysis.lower_lipschitz_sweep(
+        lambda pipeline, p, seed, _: analysis.lower_lipschitz_sweep(
             pipeline, p["epsilons"],
             witness=None if p["witness"] is None else tuple(p["witness"]))),
     "prime": Suite(
         {"p": 5, "samples": 200},
-        lambda pipeline, p, seed: analysis.prime_case_report(p["p"], p["samples"], seed)),
+        lambda pipeline, p, seed, _: analysis.prime_case_report(p["p"], p["samples"], seed)),
 }
 
 # Suites run by `verify` when the config does not select any.
@@ -358,16 +361,16 @@ def cmd_verify(config: RunConfig) -> int:
     pipeline = build_pipeline(config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    passes: dict = {}  # the orbit passes of this run's pipeline, by (seed, samples)
     results = {}
-    with analysis._sharing_orbit_pass():
-        for name, suite in SUITES.items():
-            if name not in config.suites:
-                continue
-            result = suite.run(pipeline, config.suites[name], config.seed)
-            doc = result.to_json_dict()
-            _write_json(out / f"{name}.json", doc)
-            results[name] = bool(doc["pass"])
-            print(f"{name}: {'pass' if doc['pass'] else 'FAIL'}")
+    for name, suite in SUITES.items():
+        if name not in config.suites:
+            continue
+        result = suite.run(pipeline, config.suites[name], config.seed, passes)
+        doc = result.to_json_dict()
+        _write_json(out / f"{name}.json", doc)
+        results[name] = bool(doc["pass"])
+        print(f"{name}: {'pass' if doc['pass'] else 'FAIL'}")
     overall = all(results.values()) and bool(results)
     _write_json(out / "summary.json", {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -421,7 +424,7 @@ def cmd_embed(config: RunConfig, signals_path: str | None, fmt: str | None) -> i
 def cmd_sweep(config: RunConfig) -> int:
     pipeline = build_pipeline(config)
     sweep = SUITES["sweep"]
-    result = sweep.run(pipeline, config.suites.get("sweep", sweep.defaults), config.seed)
+    result = sweep.run(pipeline, config.suites.get("sweep", sweep.defaults), config.seed, None)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "sweep.json", result.to_json_dict())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orbit_embed import (make_cyclic_action, make_pipeline,
+from orbit_embed import (analysis, make_cyclic_action, make_pipeline,
                          make_translation_action, separating_set)
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
@@ -48,6 +48,20 @@ def z12_pipeline(z12_action):
 @pytest.fixture(scope="session")
 def translation_pipeline(translation_action):
     return make_pipeline(translation_action, seed=42)
+
+
+@pytest.fixture
+def orbit_pass_calls(monkeypatch):
+    """The ``(samples, seed)`` of every orbit pass computed during the test."""
+    calls = []
+    orbit_pass = analysis._orbit_pass
+
+    def spy(action, f, samples, seed, width):
+        calls.append((samples, seed))
+        return orbit_pass(action, f, samples, seed, width)
+
+    monkeypatch.setattr(analysis, "_orbit_pass", spy)
+    return calls
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from orbit_embed import (HypothesisError, ParameterError, act,
                          empirical_lipschitz, eval_invariants,
                          find_degeneration_witness, lipschitz_bound,
                          lower_lipschitz_sweep, make_cyclic_action,
-                         make_pipeline, measure, nonparallel_falsification,
+                         make_pipeline, measure, nonparallel_falsification, orbit,
                          prime_case_report, prime_collision_pair,
                          prime_fourier_map, quotient_distance,
                          separation_margin, sup_norm_check, tilde_rescale)
@@ -52,6 +52,68 @@ class TestCheckInvariance:
     def test_sample_count_validated(self, minus_identity_pipeline):
         with pytest.raises(ParameterError):
             check_invariance(minus_identity_pipeline, samples=0)
+
+
+def reference_orbit_pass(action, f, samples, seed):
+    # the definition, one sample and one k at a time: the largest relative
+    # deviation at the first sample and then the first k that attain it (None
+    # if none beats 0), and the largest gap
+    worst, spread = None, 0.0
+    for i in range(samples):
+        values = f(orbit(action, _sphere_point(sample_rng(seed, i), action.n)))
+        gaps = np.linalg.norm(values - values[0], axis=-1)
+        scale = 1.0 + np.linalg.norm(values[:1], axis=-1)[0]
+        for k in range(action.m):
+            if gaps[k] / scale > (worst[2] if worst else 0.0):
+                worst = (i, k, float(gaps[k] / scale))
+            spread = max(spread, float(gaps[k]))
+    return worst, spread
+
+
+# maps full of exact ties between samples and between group elements; on the
+# sign map the first k at the maximum differs between tied samples
+TIED_MAPS = {"half_rounded": lambda u: np.round(u * 2) / 2, "real_sign": lambda u: np.sign(u.real)}
+
+
+class TestOrbitPass:
+    """The blocked orbit pass is its definition, and nothing outlives a call."""
+
+    @pytest.mark.parametrize("name", ["z12_pipeline", "translation_pipeline",
+                                      "minus_identity_pipeline"])
+    @pytest.mark.parametrize("samples", [1, 7, 300])
+    def test_embedding_matches_the_reference(self, request, name, samples):
+        pipeline = request.getfixturevalue(name)
+
+        def phi(u):
+            return embed(pipeline, u)
+
+        result = analysis._orbit_pass(pipeline.action, phi, samples, 5, pipeline.target_dim)
+        assert result == reference_orbit_pass(pipeline.action, phi, samples, 5)
+        if name == "minus_identity_pipeline":
+            assert result == (None, 0.0)  # Phi(-x) = Phi(x) exactly
+
+    @pytest.mark.parametrize("name", ["z12_action", "translation_action"])
+    @pytest.mark.parametrize("samples", [7, 300, 1000])
+    @pytest.mark.parametrize("f", TIED_MAPS.values(), ids=TIED_MAPS)
+    def test_tied_map_matches_the_reference(self, request, name, samples, f):
+        action = request.getfixturevalue(name)
+        result = analysis._orbit_pass(action, f, samples, 5, action.n)
+        assert result == reference_orbit_pass(action, f, samples, 5)
+        assert result[0] is not None
+
+    def test_direct_calls_share_nothing(self, translation_pipeline, orbit_pass_calls):
+        a = check_invariance(translation_pipeline, samples=20, seed=4)
+        b = check_invariance(translation_pipeline, samples=20, seed=4)
+        assert a == b and orbit_pass_calls == [(20, 4), (20, 4)]
+
+    def test_a_memo_serves_its_key_only(self, translation_pipeline, orbit_pass_calls):
+        passes = {}
+        check_invariance(translation_pipeline, samples=20, seed=4, passes=passes)
+        separation_margin(translation_pipeline, 20, 0.1, seed=4, passes=passes)
+        separation_margin(translation_pipeline, 20, 0.1, seed=5, passes=passes)
+        check_invariance(translation_pipeline, samples=10, seed=4, passes=passes)
+        assert orbit_pass_calls == [(20, 4), (20, 5), (10, 4)]
+        assert set(passes) == {(4, 20), (5, 20), (4, 10)}
 
 
 @pytest.mark.parametrize("run", [

@@ -1,7 +1,9 @@
 import copy
 import csv
 import json
+import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -405,8 +407,10 @@ class TestVerifyCommand:
 
 
 class TestSharedOrbitPass:
-    """In one verify run invariance and separation read one orbit pass; each
-    writes the bytes it writes alone, also when their sample counts differ."""
+    """In one verify run invariance and separation read one orbit pass when
+    their sample counts are equal, through a dict that the run creates; each
+    writes the bytes it writes alone, also when the counts differ, and the run
+    leaves no module state behind."""
 
     @staticmethod
     def reports(tmp_path, name, suites, n):
@@ -425,23 +429,56 @@ class TestSharedOrbitPass:
                  **self.reports(tmp_path, "separation", {"separation": suites["separation"]}, n)}
         assert shared == alone
 
+    @pytest.mark.parametrize("invariance,separation,passes", [(5, 5, 1), (5, 3, 2)])
+    def test_one_orbit_pass_per_sample_count(self, tmp_path, capsys, orbit_pass_calls,
+                                             invariance, separation, passes):
+        self.reports(tmp_path, "shared", {"invariance": {"samples": invariance},
+                                          "separation": {"samples": separation}}, 8)
+        assert len(orbit_pass_calls) == passes
+
     def test_memo_keeps_records_only(self, tmp_path, capsys, monkeypatch):
-        seen = []
-        separation_margin = analysis.separation_margin
+        memos = []
+        for name in ("check_invariance", "separation_margin"):
+            def spy(*args, passes=None, suite=getattr(analysis, name)):
+                memos.append(passes)
+                return suite(*args, passes=passes)
 
-        def spy(*args):
-            seen.append(analysis._shared_pass)
-            return separation_margin(*args)
-
-        monkeypatch.setattr(analysis, "separation_margin", spy)
+            monkeypatch.setattr(analysis, name, spy)
         self.reports(tmp_path, "shared",
-                     {"invariance": {"samples": 5}, "separation": {"samples": 3}}, 32)
-        [(pipeline, seed, orbit_pass)] = seen
-        assert seed == 7 and orbit_pass.samples == 5
-        # plain numbers per record: no array, so no (S, m, k) orbit embedding
-        records = orbit_pass.deviation + orbit_pass.spread
-        assert records and all(type(v) in (int, float) for record in records for v in record)
-        assert analysis._shared_pass is None  # released when the run ends
+                     {"invariance": {"samples": 5}, "separation": {"samples": 3}}, 8)
+        memo, other = memos
+        assert memo is other and set(memo) == {(7, 5), (7, 3)}
+
+        def leaves(value):
+            return [v for item in value for v in leaves(item)] if type(value) is tuple else [value]
+
+        # plain numbers: no array, so no (S, m, k) orbit embedding
+        values = leaves(tuple(memo.values()))
+        assert values and all(v is None or type(v) in (int, float) for v in values)
+
+    def test_no_module_state_changes_in_a_run(self, tmp_path, capsys, monkeypatch):
+        def state():
+            # every orbit_embed global that is not a function, class or module
+            return {(name, key): id(value) for name, module in list(sys.modules.items())
+                    if name.split(".")[0] == "orbit_embed"
+                    for key, value in vars(module).items()
+                    if not callable(value) and not isinstance(value, types.ModuleType)}
+
+        before, seen = state(), []
+        for name in ("check_invariance", "separation_margin", "empirical_lipschitz",
+                     "nonparallel_falsification", "sup_norm_check", "lower_lipschitz_sweep",
+                     "prime_case_report"):
+            def spy(*args, suite=getattr(analysis, name), **kwargs):
+                seen.append(state())
+                return suite(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, spy)
+        suites = {"invariance": {"samples": 5}, "separation": {"samples": 3},
+                  "lipschitz": {"samples": 5}, "nonparallel": {"samples": 5},
+                  "sup_norm": {"samples": 5}, "sweep": {}, "prime": {"samples": 5}}
+        self.reports(tmp_path, "all", suites, 8)
+        assert len(seen) == len(suites)
+        assert all(during == before for during in seen) and state() == before
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
