@@ -2,14 +2,18 @@
 
 Each suite draws seeded samples, measures a worst-case statistic, and
 compares it against a fixed threshold. Sphere sampling uses normalized
-independent complex Gaussian coordinates (uniform on the unit sphere).
-Sample i draws from numpy's stream ``default_rng(SeedSequence(seed,
-spawn_key=(i,)))`` (``oracles.sample_rng``), so a report is a pure function
-of (pipeline, seed, samples); the states of those streams are hashed per
-chunk of indices and set on one generator (``_sample_blocks``), without a
-SeedSequence or Generator per sample. Samples are drawn and evaluated in
-blocks, so a suite's memory does not grow with its sample count; a reported
-worst case is the first sample, in index order, that attains it.
+independent complex Gaussian coordinates (uniform on the unit sphere;
+``oracles.sphere_point`` draws one point). Sample i draws from numpy's stream
+``default_rng(SeedSequence(seed, spawn_key=(i,)))`` (``oracles.sample_rng``),
+so a report is a pure function of (pipeline, seed, samples). Each suite states
+what one sample draws (``_Draw``). ``_draw_blocks`` hashes the states of the
+streams per chunk of indices, sets one generator to each sample's state, and
+makes one draw call per kind of draw and point into block buffers, without a
+SeedSequence or Generator per sample; it then normalizes and scales the whole
+block at once, each row's norm still the strided BLAS dot of one point, so
+every point keeps the bits of ``oracles.sphere_point``. Samples are drawn and
+evaluated in blocks, so a suite's memory does not grow with its sample count;
+a reported worst case is the first sample, in index order, that attains it.
 
 ``check_invariance`` and ``separation_margin`` read one orbit pass: Phi over
 the full orbit of each sample's first sphere point, of which only two running
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,32 +164,62 @@ def _stream_states(seed: int, start: int, stop: int):
             yield ((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
 
 
-def _sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
-    # the ziggurat reads the same words for one call of 2n as for two of n, and
-    # the norm is the expression np.linalg.norm evaluates for a complex vector
-    v = rng.standard_normal(2 * n)
-    z = v[:n] + 1j * v[n:]
-    re, im = z.real, z.imag
-    return z / math.sqrt(re.dot(re) + im.dot(im))
+class _Draw(NamedTuple):
+    """What each sample draws from its stream, in this order: if ``scaled``, one
+    exponent u uniform in [-3, 3) per point, which scales that point by 10**u;
+    ``points`` points uniform on the unit sphere of C^n, each 2n standard
+    normals (the real parts, then the imaginary ones) divided by their norm
+    (``oracles.sphere_point``); if ``order``, a group element uniform in
+    1..order-1 (0 for order 1)."""
+
+    n: int
+    points: int
+    scaled: bool = False
+    order: int = 0
 
 
-def _sample_blocks(seed: int, samples: int, width: int, draw):
+def _draw_blocks(seed: int, samples: int, width: int, draw: _Draw):
     """Per block of samples of ``width`` complex values (``embed.blocks``), yield its
-    first index and ``draw(rng)``, a tuple per sample stacked, where sample i draws
-    from its own stream ``default_rng(SeedSequence(seed, spawn_key=(i,)))``
-    (``oracles.sample_rng``): one generator, set to each sample's state."""
+    first index, one ``(S, n)`` array per point of ``draw``, and, if ``draw.order``,
+    the ``(S,)`` group elements. Sample i draws from its own stream
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))`` (``oracles.sample_rng``):
+    one generator, set to each sample's state in turn."""
     rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
     states = _stream_states(seed, 0, samples)
-
-    def sample(state):
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state[0], "inc": state[1]},
-                               "has_uint32": 0, "uinteger": 0}
-        return draw(rng)
-
     for block in blocks(samples, width):
-        yield (block.start, *map(np.array, zip(*map(sample, islice(states, block.stop - block.start)))))
+        yield (block.start, *_draw_block(rng, states, block.stop - block.start, draw))
+
+
+def _draw_block(rng: np.random.Generator, states, size: int, draw: _Draw) -> tuple:
+    """The points and group elements of the next ``size`` samples of ``states``:
+    per sample, one generator call per draw into block buffers; then the block
+    is normalized and scaled at once. A function of its own, so that its buffers
+    are freed before the suite evaluates the block (held, they raised the peak
+    RSS of an n=64 ``verify`` by about 0.3 MiB)."""
+    n, points, order = draw.n, draw.points, draw.order
+    bit_generator = rng.bit_generator
+    normals = np.empty((points, size, 2 * n))
+    exponents = np.empty((size, points))
+    elements = np.zeros(size, dtype=np.int64)
+    for i, (state, inc) in zip(range(size), states):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        if draw.scaled:
+            exponents[i] = rng.uniform(-3.0, 3.0, size=points)
+        for j in range(points):
+            # the ziggurat reads the same words for one call of 2n as for two of n
+            rng.standard_normal(out=normals[j, i])
+        if order > 1:
+            elements[i] = rng.integers(1, order)
+    z = normals[..., :n] + 1j * normals[..., n:]
+    # the squared norm of each row is the strided BLAS dot of one point's real
+    # and imaginary parts (np.linalg.norm's), which a vector-by-vector matmul
+    # calls; an elementwise sum rounds differently
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    z = z / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    if draw.scaled:
+        z = (10.0 ** exponents).T[:, :, None] * z
+    return (*z, elements) if order else tuple(z)
 
 
 def _orbit_pass(action: CyclicAction, f, samples: int, seed: int, width: int):
@@ -200,8 +234,7 @@ def _orbit_pass(action: CyclicAction, f, samples: int, seed: int, width: int):
     """
     n, m = action.n, action.m
     worst, spread = None, 0.0
-    for start, x in _sample_blocks(seed, samples, m * max(n, width),
-                                   lambda rng: (_sphere_point(rng, n),)):
+    for start, x in _draw_blocks(seed, samples, m * max(n, width), _Draw(n, 1)):
         values = f(orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)  # k = 0 is x
         gaps = np.linalg.norm(values - values[:, :1], axis=-1)  # 0 at k = 0
         dev = gaps / (1.0 + np.linalg.norm(values[:, :1], axis=-1))
@@ -271,8 +304,8 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     margin = math.inf
     qualifying = 0
     cases: list[dict] = []
-    for start, x, y in _sample_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
-                                      lambda rng: (_sphere_point(rng, n), _sphere_point(rng, n))):
+    for start, x, y in _draw_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
+                                    _Draw(n, 2)):
         d = quotient_distance(action, x, y)
         far = np.flatnonzero(d >= delta)
         gaps = np.linalg.norm(embed(pipeline, x[far]) - embed(pipeline, y[far]), axis=-1)
@@ -309,11 +342,8 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
     worst = 0.0
     excluded = 0
     cases: list[dict] = []
-    for start, x, y in _sample_blocks(
-            seed, samples, 2 * max(n, pipeline.target_dim),
-            # two scales, then the two unit points they scale
-            lambda rng: tuple(s * _sphere_point(rng, n)
-                              for s in 10.0 ** rng.uniform(-3.0, 3.0, size=2))):
+    for start, x, y in _draw_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
+                                    _Draw(n, 2, scaled=True)):
         d = quotient_distance(action, x, y)
         kept = np.flatnonzero(d >= RATIO_EXCLUSION)
         excluded += len(d) - len(kept)
@@ -351,11 +381,9 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
     lam_err = 0.0
     same_resid = 0.0
     cases: list[dict] = []
-    for start, x, y, k in _sample_blocks(
-            seed, samples, 3 * max(n, pipeline.target_dim),
-            # the pair, then the group element of the same-orbit pair (x, T^k x)
-            lambda rng: (_sphere_point(rng, n), _sphere_point(rng, n),
-                         int(rng.integers(1, m)) if m > 1 else 0)):
+    # the pair, then the group element of the same-orbit pair (x, T^k x)
+    for start, x, y, k in _draw_blocks(seed, samples, 3 * max(n, pipeline.target_dim),
+                                       _Draw(n, 2, order=m)):
         hx, hy = measure(pipeline, x), measure(pipeline, y)
         far = np.flatnonzero(quotient_distance(action, x, y) >= delta)
         ok, lam, resid = _parallel_fit(hy[far], hx[far])
@@ -395,8 +423,7 @@ def sup_norm_check(sset: SeparatingSet, samples: int, seed: int = 0) -> Verifica
     m = sset.action.m
     max_component = 0.0
     max_partial = 0.0
-    for _, x in _sample_blocks(seed, samples, sset.size,
-                               lambda rng: (_sphere_point(rng, sset.n),)):
+    for _, x in _draw_blocks(seed, samples, sset.size, _Draw(sset.n, 1)):
         max_component = max(max_component, float(np.abs(eval_invariants(sset, x)).max()))
         # the partials that can be nonzero, without the dense (S, N, n) Jacobian
         max_partial = max(max_partial, *(float(np.abs(d).max(initial=0.0))

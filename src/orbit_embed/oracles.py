@@ -4,9 +4,10 @@ These deliberately avoid the implementation paths they check: operator norms
 come from a dense SVD rather than a Gram-matrix eigenvalue, gradients from central
 finite differences rather than the analytic formulas, orbit facts from
 plain per-element enumeration of the generator's definition (a cyclic shift,
-or phases exp(2*pi*i*k*e/m)) rather than the action's lookup tables, and
+or phases exp(2*pi*i*k*e/m)) rather than the action's lookup tables,
 each sample's random stream from numpy's own SeedSequence rather than the
-suites' hash of its state.
+suites' hash of its state, and its sphere points one at a time rather than
+the suites' whole blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     ``SeedSequence`` with the index as spawn key, which the suites' block
     sampler reproduces without building one."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One point uniform on the unit sphere of C^n, drawn from ``rng``: n real
+    normals, then n imaginary ones, divided by the complex vector's norm. The
+    suites draw and normalize whole blocks of such points with these bits."""
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
 
 
 def svd_operator_norm(matrix) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orbit_embed import (analysis, make_cyclic_action, make_pipeline,
-                         make_translation_action, separating_set)
+                         make_translation_action, oracles, separating_set)
 
 # Pass/fail lines recorded by the acceptance tests, echoed after the run.
 ACCEPTANCE_LINES: list[str] = []
@@ -75,6 +75,18 @@ def golden_path():
     return Path(__file__).parent / "data" / "golden.json"
 
 
-def unit_vector(rng, n):
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
+def oracle_draw(draw, seed, index):
+    """Sample ``index``'s ``analysis._Draw`` by its definition: its own
+    SeedSequence and Generator, then each draw in turn, one point at a time."""
+    rng = oracles.sample_rng(seed, index)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=draw.points) if draw.scaled else None
+    points = [oracles.sphere_point(rng, draw.n) for _ in range(draw.points)]
+    if draw.scaled:
+        points = [s * z for s, z in zip(scales, points)]
+    if draw.order:
+        points.append(int(rng.integers(1, draw.order)) if draw.order > 1 else 0)
+    return tuple(points)
+
+
+# a random unit signal, for the tests that need one
+unit_vector = oracles.sphere_point

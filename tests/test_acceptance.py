@@ -17,9 +17,8 @@ from orbit_embed import (auto_target_dim, check_invariance, coordinate_order,
                          nonparallel_falsification, operator_norm,
                          prime_case_report, separating_set, separation_margin,
                          sup_norm_check)
-from orbit_embed.analysis import _sphere_point
 from orbit_embed.cli import main as cli_main
-from orbit_embed.oracles import gradient_discrepancy, sample_rng, svd_operator_norm
+from orbit_embed.oracles import gradient_discrepancy, sample_rng, sphere_point, svd_operator_norm
 
 from conftest import ACCEPTANCE_LINES
 from test_invariants import Z12_EXAMPLE_MONOMIALS
@@ -124,7 +123,7 @@ def test_criterion_05_sup_norm_lemma(fixture_pipelines):
             ok &= report.passed
             fd_err = 0.0
             for start in range(0, 10_000, 1_000):
-                x = np.array([_sphere_point(sample_rng(SEED, i), sset.n)
+                x = np.array([sphere_point(sample_rng(SEED, i), sset.n)
                               for i in range(start, start + 1_000)])
                 fd_err = max(fd_err, float(gradient_discrepancy(sset, x).max()))
             ok &= fd_err <= 1e-5

@@ -19,10 +19,10 @@ from orbit_embed import (HypothesisError, ParameterError, act,
                          prime_fourier_map, quotient_distance,
                          separation_margin, sup_norm_check, tilde_rescale)
 from orbit_embed import analysis
-from orbit_embed.analysis import _sphere_point
-from orbit_embed.oracles import sample_rng
+from orbit_embed.analysis import _Draw
+from orbit_embed.oracles import sample_rng, sphere_point
 
-from conftest import unit_vector
+from conftest import oracle_draw, unit_vector
 
 
 class TestCheckInvariance:
@@ -60,7 +60,7 @@ def reference_orbit_pass(action, f, samples, seed):
     # if none beats 0), and the largest gap
     worst, spread = None, 0.0
     for i in range(samples):
-        values = f(orbit(action, _sphere_point(sample_rng(seed, i), action.n)))
+        values = f(orbit(action, sphere_point(sample_rng(seed, i), action.n)))
         gaps = np.linalg.norm(values - values[0], axis=-1)
         scale = 1.0 + np.linalg.norm(values[:1], axis=-1)[0]
         for k in range(action.m):
@@ -442,13 +442,13 @@ class TestWorstCaseReplay:
     @staticmethod
     def pair(seed, sample, n):
         rng = sample_rng(seed, sample)
-        return _sphere_point(rng, n), _sphere_point(rng, n)
+        return sphere_point(rng, n), sphere_point(rng, n)
 
     def test_lipschitz(self, pipeline):
         report = empirical_lipschitz(pipeline, samples=2000, seed=7)
         rng = sample_rng(7, report.cases[0]["sample"])
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
-        x, y = (s * _sphere_point(rng, pipeline.action.n) for s in scales)
+        x, y = (s * sphere_point(rng, pipeline.action.n) for s in scales)
         ratio = (np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))
                  / quotient_distance(pipeline.action, x, y))
         assert ratio == pytest.approx(report.statistic, rel=1e-12)
@@ -473,6 +473,10 @@ class TestWorstCaseReplay:
 # seeds of one word (0 too), of two, and of more words than the hash pool holds
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
 CHUNK = analysis._STATE_CHUNK
+# every kind of draw a suite makes: one point, a pair, a scaled pair, a pair and
+# a group element (order 1 draws none), and all of them in one sample
+SUITE_DRAWS = [_Draw(5, 1), _Draw(5, 2), _Draw(5, 2, scaled=True), _Draw(5, 2, order=12),
+               _Draw(5, 2, order=1), _Draw(5, 2, scaled=True, order=12)]
 
 
 def oracle_state(seed, index):
@@ -482,7 +486,8 @@ def oracle_state(seed, index):
 
 class TestSampleStreams:
     """The block sampler's per-sample states, hashed per chunk of indices, and
-    the draws made from them are those of numpy's own per-sample stream."""
+    the blocks drawn from them are those of numpy's own per-sample stream, drawn
+    and normalized one point at a time."""
 
     @given(seed=st.sampled_from(STREAM_SEEDS), start=st.integers(0, 3 * CHUNK),
            count=st.integers(1, 2 * CHUNK))
@@ -508,31 +513,32 @@ class TestSampleStreams:
             expected = np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
             assert row.tolist() == expected.tolist()
 
-    @given(seed=st.sampled_from(STREAM_SEEDS), samples=st.integers(1, 2 * CHUNK + 5),
-           width=st.integers(1, 5000))
-    @settings(max_examples=15, deadline=None)
-    def test_draws_match_the_oracle(self, seed, samples, width):
-        def draw(rng):
-            # every kind of draw a suite makes, in one sample
-            return _sphere_point(rng, 5), rng.uniform(-3.0, 3.0, size=2), int(rng.integers(1, 12))
-
+    @staticmethod
+    def assert_blocks_match_the_oracle(seed, samples, width, draw):
         starts = []
-        for start, x, u, k in analysis._sample_blocks(seed, samples, width, draw):
+        for start, *arrays in analysis._draw_blocks(seed, samples, width, draw):
             starts.append(start)
-            for j in range(len(x)):
-                rx, ru, rk = draw(sample_rng(seed, start + j))
-                assert x[j].tobytes() == rx.tobytes() and u[j].tobytes() == ru.tobytes()
-                assert k[j] == rk
+            assert all(a.flags.c_contiguous and len(a) == len(arrays[0]) for a in arrays)
+            for j in range(len(arrays[0])):
+                expected = oracle_draw(draw, seed, start + j)
+                assert len(arrays) == len(expected)
+                assert all(a[j].tobytes() == np.asarray(e).tobytes()
+                           for a, e in zip(arrays, expected))
         assert starts == list(range(0, samples, starts[1] if len(starts) > 1 else samples))
 
+    @given(seed=st.sampled_from(STREAM_SEEDS), samples=st.integers(1, 2 * CHUNK + 5),
+           width=st.integers(1, 5000), draw=st.sampled_from(SUITE_DRAWS))
+    @settings(max_examples=25, deadline=None)
+    def test_draws_match_the_oracle(self, seed, samples, width, draw):
+        self.assert_blocks_match_the_oracle(seed, samples, width, draw)
+
     def test_sphere_point_keeps_the_two_call_bits(self):
-        # one call of 2n reads the words of two calls of n, normed as np.linalg.norm
+        # one normal call of 2n per point, then a block-wide norm, division and
+        # scale, with the bits of two calls of n and np.linalg.norm per point:
+        # at a one-term norm, the shipped sizes and n64, in blocks of 50 samples
         for n in (1, 5, 8, 64):
-            for i in range(50):
-                rng = sample_rng(3, i)
-                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                expected = z / np.linalg.norm(z)
-                assert _sphere_point(sample_rng(3, i), n).tobytes() == expected.tobytes()
+            for draw in (_Draw(n, 1), _Draw(n, 2, scaled=True, order=12)):
+                self.assert_blocks_match_the_oracle(3, 150, 327, draw)
 
 
 SAMPLING_SUITES = {

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orbit_embed import analysis, cli, oracles
+from orbit_embed import analysis, cli
 from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
 from orbit_embed.embed import blocks
 from orbit_embed.errors import DataError, ParameterError
+
+from conftest import oracle_draw
 
 Z12_CONFIG = {
     "action": {"m": 12, "weights": [6, 3, 4, 2, 2]},
@@ -487,16 +489,12 @@ SMALL_SAMPLES = {"invariance": 30, "separation": 40, "lipschitz": 300,
                  "nonparallel": 60, "sup_norm": 300, "prime": 40}
 
 
-def oracle_sample_blocks(seed, samples, width, draw):
-    # the stream's definition: one SeedSequence and Generator per sample
+def oracle_draw_blocks(seed, samples, width, draw):
+    # the stream's definition: one SeedSequence and Generator per sample, and
+    # one point at a time, normed by np.linalg.norm
     for block in blocks(samples, width):
-        rngs = (oracles.sample_rng(seed, i) for i in range(block.start, block.stop))
-        yield (block.start, *map(np.array, zip(*map(draw, rngs))))
-
-
-def two_call_sphere_point(rng, n):
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
+        rows = [oracle_draw(draw, seed, i) for i in range(block.start, block.stop)]
+        yield (block.start, *map(np.array, zip(*rows)))
 
 
 class TestSampleStreamBytes:
@@ -520,8 +518,7 @@ class TestSampleStreamBytes:
     def test_reports_match_the_per_sample_streams(self, tmp_path, capsys, monkeypatch,
                                                   name, seed):
         blocked = self.reports(tmp_path / "blocked", name, seed)
-        monkeypatch.setattr(analysis, "_sample_blocks", oracle_sample_blocks)
-        monkeypatch.setattr(analysis, "_sphere_point", two_call_sphere_point)
+        monkeypatch.setattr(analysis, "_draw_blocks", oracle_draw_blocks)
         per_sample = self.reports(tmp_path / "per_sample", name, seed)
         assert len(blocked) > 1 and blocked == per_sample
 
