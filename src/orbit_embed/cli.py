@@ -23,8 +23,9 @@ import numpy as np
 
 from . import analysis, oracles
 from .action import make_cyclic_action, make_translation_action
-from .embed import Pipeline, embed, make_pipeline, operator_norm
-from .errors import DataError, OrbitEmbedError, ParameterError, check_param, is_real
+from .embed import Pipeline, blocks, embed, make_pipeline, operator_norm
+from .errors import (DataError, DimensionError, OrbitEmbedError, ParameterError,
+                     check_param, is_real)
 from .invariants import separating_set_to_json
 
 
@@ -229,14 +230,20 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
     locale-independently. Every signal must have the length of signal 0; a
     file without signals gives a ``(0, 0)`` array.
     """
-    readers = {"json": _signals_from_json, "csv": _signals_from_csv}
-    if fmt not in readers:
+    if fmt not in ("json", "csv"):
         raise DataError(f"unknown signal format {fmt!r}")
     text = _read_text(path, "signal file", DataError)
-    if not text.strip():
+    if not text or text.isspace():  # the test of text.strip(), without its copy
         warnings.warn(f"signal file {path!r} is empty")
         return _stack_signals([])
-    signals = readers[fmt](text, path)
+    if fmt == "csv":
+        signals = _signals_from_csv(text, path)
+    else:
+        # numpy reads true/false as 1/0, so a file naming either goes signal by signal
+        by_signal = "true" in text or "false" in text
+        doc = _parse_json(text, "signal file", path, DataError)
+        del text  # freed before the document is copied into an array
+        signals = _signals_from_json(doc, path, by_signal)
     if not len(signals):
         warnings.warn(f"signal file {path!r} contains no signals")
     finite = np.isfinite(signals).all(axis=1)
@@ -259,17 +266,16 @@ def _complex_pairs(pairs) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _signals_from_json(text: str, path: str) -> np.ndarray:
-    doc = _parse_json(text, "signal file", path, DataError)
+def _signals_from_json(doc, path: str, by_signal: bool) -> np.ndarray:
+    # doc: the parsed file; by_signal: skip the one-array fast path
     if not isinstance(doc, list):
         raise DataError(f"{path}: top level must be an array of signals")
     try:
-        pairs = np.array(doc)
+        pairs = None if by_signal else np.array(doc)
     except (ValueError, OverflowError):
         pairs = None  # ragged or malformed: checked signal by signal below
-    # numpy reads true/false as 1/0, so a file naming either goes signal by signal
     if (pairs is not None and pairs.dtype.kind in "iuf" and pairs.ndim == 3
-            and pairs.shape[2] == 2 and "true" not in text and "false" not in text):
+            and pairs.shape[2] == 2):
         return _complex_pairs(pairs)
     return _stack_signals([_signal_from_json(row, idx, path) for idx, row in enumerate(doc)])
 
@@ -318,37 +324,61 @@ def _signals_from_csv(text: str, path: str) -> np.ndarray:
     return _stack_signals(signals)
 
 
-def save_signals(path: str, signals: np.ndarray, fmt: str = "json") -> None:
-    """Write an ``(S, n)`` complex array that :func:`load_signals` reads back
-    bit-exactly: all floats are formatted in one C-level call and laid out by
-    a template of one signal, repeated S times."""
-    writers = {"json": _signals_to_json, "csv": _signals_to_csv}
-    if fmt not in writers:
-        raise DataError(f"unknown signal format {fmt!r}")
-    Path(path).write_text(writers[fmt](np.ascontiguousarray(signals, dtype=np.complex128)))
+def save_signals(path: str, signals, fmt: str = "json") -> None:
+    """Write complex signals that :func:`load_signals` reads back bit-exactly.
 
-
-def _signals_to_json(signals: np.ndarray) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` for doc = [[[re, im], ...], ...]; the
-    floats go through json.dumps without indent, the only mode its C encoder runs in.
+    ``signals`` is a batch ``(S, n)`` or one signal ``(n,)``, written as a file
+    of one signal; other shapes raise DimensionError. The file is formatted and
+    written one :func:`embed.blocks` block of rows at a time: a block's floats
+    are formatted in one C-level call and laid out by a template of its rows, so
+    memory does not grow with S. A write that fails removes the partial file.
     """
+    if fmt not in ("json", "csv"):
+        raise DataError(f"unknown signal format {fmt!r}")
+    signals = np.asarray(signals, dtype=np.complex128)
+    if signals.ndim not in (1, 2):
+        raise DimensionError(
+            f"signals must be an (n,) vector or an (S, n) batch, got shape {signals.shape}")
+    signals = np.ascontiguousarray(np.atleast_2d(signals))
     S, n = signals.shape
-    if S == 0:
-        return "[]\n"
+    # the text before the first block, between two blocks and after the last
+    if fmt == "csv":
+        head, sep, tail, rows = "signal_id,index,re,im\n", "", "", _csv_rows
+    elif S:
+        head, sep, tail, rows = "[\n", ",\n", "\n]\n", _json_rows
+    else:
+        head, sep, tail, rows = "[]\n", "", "", _json_rows
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(head)
+            for block in blocks(S, max(n, 1)):
+                if block.start:
+                    fh.write(sep)
+                fh.write(rows(signals[block], block.start))
+            fh.write(tail)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _json_rows(block: np.ndarray, start: int) -> str:
+    """The rows of ``json.dumps(doc, indent=2)`` for doc = [[[re, im], ...], ...],
+    joined by ",\\n"; the floats go through json.dumps without indent, the only
+    mode its C encoder runs in."""
+    count, n = block.shape
     pair = "    [\n      %s,\n      %s\n    ]"
     row = "  [\n" + ",\n".join([pair] * n) + "\n  ]" if n else "  []"
-    reprs = json.dumps(signals.view(np.float64).ravel().tolist())[1:-1]
-    return ("[\n" + ",\n".join([row] * S) + "\n]\n") % tuple(
-        reprs.split(", ") if reprs else ())
+    reprs = json.dumps(block.view(np.float64).ravel().tolist())[1:-1]
+    return ",\n".join([row] * count) % tuple(reprs.split(", ") if reprs else ())
 
 
-def _signals_to_csv(signals: np.ndarray) -> str:
-    # the header, then f"{sid},{index},{re!r},{im!r}" per value
-    S, n = signals.shape
+def _csv_rows(block: np.ndarray, start: int) -> str:
+    # f"{sid},{index},{re!r},{im!r}" per value, signal ids from start
+    count, n = block.shape
     row = "".join(f"%d,{index},%%s,%%s\n" for index in range(n))
-    template = "".join(row % ((sid,) * n) for sid in range(S))
-    reprs = tuple(map(repr, signals.view(np.float64).ravel().tolist()))
-    return "signal_id,index,re,im\n" + template % reprs
+    template = "".join(row % ((sid,) * n) for sid in range(start, start + count))
+    return template % tuple(map(repr, block.view(np.float64).ravel().tolist()))
 
 
 def _write_json(path: Path, doc) -> None:

@@ -1,8 +1,12 @@
 import copy
 import csv
+import errno
+import gc
+import importlib
 import json
 import sys
 import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -17,7 +21,7 @@ from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
 from orbit_embed.embed import blocks
-from orbit_embed.errors import DataError, ParameterError
+from orbit_embed.errors import DataError, DimensionError, ParameterError
 
 from conftest import oracle_draw
 
@@ -299,6 +303,104 @@ class TestSaveSignalsCsv:
         path = tmp_path / "out.csv"
         save_signals(str(path), np.array(signals, dtype=np.complex128), "csv")
         assert path.read_text() == "signal_id,index,re,im\n" + text
+
+
+SAVE_ORACLES = {"json": TestSaveSignalsJson.oracle, "csv": TestSaveSignalsCsv.oracle}
+
+
+def small_blocks(monkeypatch, n):
+    """Shrink embed.BLOCK_BYTES to four rows of 17 values; return the rows of a width-n block."""
+    monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 16 * 17 * 4)
+    return next(blocks(10**6, max(n, 1))).stop
+
+
+def special_signals(rng, S, n):
+    """(S, n) complex values with signed zeros, subnormals, infinities and NaNs among them."""
+    signals = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
+    specials = [-0.0, 5e-324, 1e300, float("inf"), float("-inf"), float("nan")]
+    flat = signals.view(np.float64).reshape(-1)
+    at = rng.integers(0, flat.size, size=min(flat.size, 12))
+    flat[at] = rng.choice(specials, size=at.size)
+    return signals
+
+
+class TestSaveSignalsBlocks:
+    """save_signals writes one block of rows at a time, with the bytes of one pass."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    @pytest.mark.parametrize("count", [lambda B: 0, lambda B: 1, lambda B: B - 1, lambda B: B,
+                                       lambda B: B + 1, lambda B: 3 * B + 2],
+                             ids=["0", "1", "B-1", "B", "B+1", "3B+2"])
+    def test_bytes_across_block_boundaries(self, tmp_path, monkeypatch, rng, fmt, n, count):
+        S = count(small_blocks(monkeypatch, n))
+        signals = special_signals(rng, S, n)
+        path = tmp_path / f"out.{fmt}"
+        save_signals(str(path), signals, fmt)
+        assert path.read_text() == SAVE_ORACLES[fmt](signals)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_signal_is_a_batch_of_one(self, tmp_path, rng, fmt):
+        signal = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        path = tmp_path / f"out.{fmt}"
+        save_signals(str(path), signal, fmt)
+        assert path.read_text() == SAVE_ORACLES[fmt]([signal])
+        np.testing.assert_array_equal(load_signals(str(path), fmt), signal[None])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4), (1, 1, 1, 1)], ids=["0-d", "3-d", "4-d"])
+    def test_other_shapes_rejected(self, tmp_path, fmt, shape):
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(DimensionError, match="got shape"):
+            save_signals(str(path), np.zeros(shape, dtype=np.complex128), fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, rng, fmt):
+        # the disk fills after the first write, as a full device would refuse the rest
+        def full_disk_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+
+            def write_once(text):
+                fh.write = failing_write
+                return write(text)
+
+            def failing_write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write_once
+            return fh
+
+        B = small_blocks(monkeypatch, 3)
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(OSError, match="No space left"):
+            save_signals(str(path), special_signals(rng, 3 * B, 3), fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_does_not_grow_with_signals(self, tmp_path, rng, fmt):
+        signals = rng.standard_normal((20_000, 17)) + 1j * rng.standard_normal((20_000, 17))
+        path = str(tmp_path / f"out.{fmt}")
+        # fills CPython's free lists, which a full collection would empty, so
+        # none may run before the measured writes are done
+        save_signals(path, signals[:2_000], fmt)
+        peaks = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for S in (2_000, 20_000):
+                tracemalloc.start()
+                try:
+                    save_signals(path, signals[:S], fmt)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        finally:
+            if enabled:
+                gc.enable()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 class TestVerifyCommand:
