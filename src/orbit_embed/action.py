@@ -14,13 +14,13 @@ All operations are pure; ``CyclicAction`` values are immutable and hashable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, FormError, ParameterError, check_param, is_int
+from .errors import (DimensionError, FormError, ParameterError, check_param, is_int,
+                     table_refusal)
 
 DIAGONAL = "diagonal"
 TRANSLATION = "translation"
@@ -82,28 +82,14 @@ def as_signals(x, n: int | None = None) -> np.ndarray:
 
 
 def _powers(action: CyclicAction) -> np.ndarray:
-    """The column k = 0..m-1 of an (m, n) table of the group's elements.
-
-    Refused, naming ``action.m``, when the table cannot be built: every
-    ``k * e_i`` must fit int64, and building the phase table, which peaks at
-    about 42 bytes per entry, must fit the machine's physical memory.
-    """
+    """The column k = 0..m-1 of an (m, n) table of the group's elements, refused,
+    naming ``action.m``, when the table cannot be built (``errors.table_refusal``)."""
     m, n = action.m, action.n
-    if (m - 1) * max(action.weights) >= 2**63:
-        reason = "its exponents k * e_i overflow int64"
-    elif 48 * m * n > _memory_bytes():
-        reason = f"building it takes about {48 * m * n} bytes, more than the machine's memory"
-    else:
-        return np.arange(m).reshape(-1, 1)
-    raise ParameterError(f"action.m = {m} is too large: the {m} x {n} table of the "
-                         f"group's elements cannot be built ({reason})")
-
-
-def _memory_bytes() -> int:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf: int64 is the limit
-        return 2**63
+    reason = table_refusal(m, n, max(action.weights))
+    if reason:
+        raise ParameterError(f"action.m = {m} is too large: the {m} x {n} table of the "
+                             f"group's elements cannot be built ({reason})")
+    return np.arange(m).reshape(-1, 1)
 
 
 @lru_cache(maxsize=64)

@@ -222,27 +222,45 @@ def _draw_block(rng: np.random.Generator, states, size: int, draw: _Draw) -> tup
     return (*z, elements) if order else tuple(z)
 
 
+class _Worst:
+    """The first sample, over blocks of values, sample indices and fields (arrays of
+    one shape, row-major in index order), whose value strictly beats the kept one and
+    the start (0 for a maximum, inf for a minimum); ``case`` is None until one does."""
+
+    def __init__(self, name: str, largest: bool):
+        self.name, self.largest = name, largest
+        self.value, self.case = (0.0 if largest else math.inf), None
+
+    def offer(self, values: np.ndarray, samples: np.ndarray, **fields: np.ndarray) -> None:
+        if values.size:
+            i = int(np.argmax(values) if self.largest else np.argmin(values))
+            value = values.flat[i].item()
+            if value > self.value if self.largest else value < self.value:
+                self.value = value
+                self.case = {"sample": samples.flat[i].item(), self.name: value,
+                             **{key: a.flat[i].item() for key, a in fields.items()}}
+
+
 def _orbit_pass(action: CyclicAction, f, samples: int, seed: int, width: int):
     """The orbit pass of f, which maps rows to rows of ``width``: f over the
     orbit of the first sphere point x of each sample 0..samples-1, reduced to
-    ``(worst, spread)``, two maxima kept running per block:
+    ``(case, spread)``, two maxima kept running per block:
 
-    * ``worst``: ``(sample, k, value)`` of the largest relative deviation
-      ``||f(T^k x) - f(x)|| / (1 + ||f(x)||)``, at the first sample and then the
-      first k that attain it; None if no deviation beats 0;
+    * ``case``: ``{"sample", "k", "deviation"}`` of the largest relative
+      deviation ``||f(T^k x) - f(x)|| / (1 + ||f(x)||)``, at the first sample and
+      then the first k that attain it; None if no deviation beats 0;
     * ``spread``: the largest gap ``||f(T^k x) - f(x)||``, a float.
     """
     n, m = action.n, action.m
-    worst, spread = None, 0.0
+    worst, spread = _Worst("deviation", largest=True), 0.0
     for start, x in _draw_blocks(seed, samples, m * max(n, width), _Draw(n, 1)):
         values = f(orbit(action, x).reshape(-1, n)).reshape(len(x), m, -1)  # k = 0 is x
         gaps = np.linalg.norm(values - values[:, :1], axis=-1)  # 0 at k = 0
         dev = gaps / (1.0 + np.linalg.norm(values[:, :1], axis=-1))
-        i, k = divmod(int(dev.argmax()), m)  # sample-major: the first sample, then k
-        if dev[i, k] > (worst[2] if worst else 0.0):
-            worst = (start + i, k, float(dev[i, k]))
+        rows, k = np.indices(dev.shape)  # sample-major: the first sample, then k
+        worst.offer(dev, start + rows, k=k)
         spread = max(spread, float(gaps.max()))
-    return worst, spread
+    return worst.case, spread
 
 
 def _embedding_orbit_pass(pipeline: Pipeline, samples: int, seed: int, passes: dict | None):
@@ -275,11 +293,9 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0, *,
     check_param(samples=samples, seed=seed)
     action = pipeline.action
     worst = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
-    case = None
-    record, _ = _embedding_orbit_pass(pipeline, samples, seed, passes)
-    if record and record[2] > worst:
-        worst = record[2]
-        case = {"sample": record[0], "k": record[1], "deviation": worst}
+    case, _ = _embedding_orbit_pass(pipeline, samples, seed, passes)
+    case = case if case and case["deviation"] > worst else None
+    worst = case["deviation"] if case else worst
     return VerificationReport(
         suite="invariance", samples=samples, seed=seed,
         statistic=worst, threshold=INVARIANCE_TOL,
@@ -301,28 +317,22 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     action = pipeline.action
     n = action.n
     _, leakage = _embedding_orbit_pass(pipeline, samples, seed, passes)
-    margin = math.inf
+    worst = _Worst("margin", largest=False)
     qualifying = 0
-    cases: list[dict] = []
     for start, x, y in _draw_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
                                     _Draw(n, 2)):
         d = quotient_distance(action, x, y)
         far = np.flatnonzero(d >= delta)
         gaps = np.linalg.norm(embed(pipeline, x[far]) - embed(pipeline, y[far]), axis=-1)
         qualifying += len(far)
-        if gaps.size and gaps.min() < margin:
-            i = int(np.argmin(gaps))
-            margin = float(gaps[i])
-            cases = [{"sample": start + int(far[i]),
-                      "quotient_distance": float(d[far[i]]), "margin": margin}]
-    if qualifying == 0:
-        margin = 0.0
+        worst.offer(gaps, start + far, quotient_distance=d[far])
+    margin = worst.value if qualifying else 0.0
     passed = (qualifying > 0 and leakage <= SAME_ORBIT_TOL
               and margin > 0.0 and margin > SEPARATION_HEADROOM * leakage)
     return VerificationReport(
         suite="separation", samples=samples, seed=seed,
         statistic=margin, threshold=SEPARATION_HEADROOM * leakage, passed=passed,
-        cases=tuple(cases),
+        cases=(worst.case,) if worst.case else (),
         extra={"delta": delta, "qualifying_pairs": qualifying,
                "same_orbit_leakage": leakage, "headroom": SEPARATION_HEADROOM})
 
@@ -339,9 +349,8 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
     n = action.n
     bound = lipschitz_bound(pipeline)
     threshold = bound.bound * (1.0 + 1e-9)
-    worst = 0.0
+    worst = _Worst("ratio", largest=True)
     excluded = 0
-    cases: list[dict] = []
     for start, x, y in _draw_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
                                     _Draw(n, 2, scaled=True)):
         d = quotient_distance(action, x, y)
@@ -349,15 +358,11 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
         excluded += len(d) - len(kept)
         ratios = np.linalg.norm(embed(pipeline, x[kept]) - embed(pipeline, y[kept]),
                                 axis=-1) / d[kept]
-        if ratios.size and ratios.max() > worst:
-            i = int(np.argmax(ratios))
-            worst = float(ratios[i])
-            cases = [{"sample": start + int(kept[i]),
-                      "quotient_distance": float(d[kept[i]]), "ratio": worst}]
+        worst.offer(ratios, start + kept, quotient_distance=d[kept])
     return VerificationReport(
         suite="lipschitz", samples=samples, seed=seed,
-        statistic=worst, threshold=threshold, passed=worst <= threshold,
-        cases=tuple(cases),
+        statistic=worst.value, threshold=threshold, passed=worst.value <= threshold,
+        cases=(worst.case,) if worst.case else (),
         extra={"bound": bound.bound, "reducer_norm": bound.reducer_norm,
                "group_order": bound.m, "excluded_pairs": excluded})
 
@@ -375,12 +380,11 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
     check_param(delta=delta, samples=samples, seed=seed)
     action = pipeline.action
     n, m = action.n, action.m
-    min_residual = math.inf
+    worst = _Worst("residual", largest=False)
     qualifying = 0
     zero_image = 0
     lam_err = 0.0
     same_resid = 0.0
-    cases: list[dict] = []
     # the pair, then the group element of the same-orbit pair (x, T^k x)
     for start, x, y, k in _draw_blocks(seed, samples, 3 * max(n, pipeline.target_dim),
                                        _Draw(n, 2, order=m)):
@@ -389,24 +393,19 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
         ok, lam, resid = _parallel_fit(hy[far], hx[far])
         zero_image += int(np.sum(~ok))
         qualifying += len(lam)
-        if resid.size and resid.min() < min_residual:
-            i = int(np.argmin(resid))
-            min_residual = float(resid[i])
-            cases = [{"sample": start + int(far[ok][i]), "lambda": float(lam[i]),
-                      "residual": min_residual}]
+        worst.offer(resid, start + far[ok], **{"lambda": lam})
         # same-orbit fixed point: lambda* = 1, residual ~ 0
         ok, lam, resid = _parallel_fit(hx, measure(pipeline, act(action, k, x)))
         zero_image += int(np.sum(~ok))
         lam_err = max(lam_err, float(np.abs(lam - 1.0).max(initial=0.0)))
         same_resid = max(same_resid, float(resid.max(initial=0.0)))
-    if qualifying == 0:
-        min_residual = 0.0
+    min_residual = worst.value if qualifying else 0.0
     passed = (qualifying > 0 and min_residual > 0.0
               and lam_err <= LAMBDA_TOL and same_resid <= LAMBDA_TOL)
     return VerificationReport(
         suite="nonparallel", samples=samples, seed=seed,
         statistic=min_residual, threshold=0.0, passed=passed,
-        cases=tuple(cases),
+        cases=(worst.case,) if worst.case else (),
         extra={"delta": delta, "qualifying_pairs": qualifying,
                "zero_image_pairs": zero_image,
                "same_orbit_lambda_error": lam_err,
@@ -580,9 +579,9 @@ def prime_case_report(p: int = 5, samples: int = 200, seed: int = 0) -> Verifica
     """Demonstrate that the prime-case map is invariant yet non-separating."""
     check_param(samples=samples, p=p, seed=seed)
     modulation = make_cyclic_action(p, range(p))
-    record, _ = _orbit_pass(modulation, lambda u: prime_fourier_map(p, u), samples, seed,
-                            2 * p - 2)
-    worst = record[2] if record else 0.0
+    case, _ = _orbit_pass(modulation, lambda u: prime_fourier_map(p, u), samples, seed,
+                          2 * p - 2)
+    worst = case["deviation"] if case else 0.0
     x, y = prime_collision_pair(p)
     map_gap = float(np.linalg.norm(prime_fourier_map(p, x) - prime_fourier_map(p, y)))
     orbit_gap = float(quotient_distance(modulation, x, y))

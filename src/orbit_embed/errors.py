@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -40,6 +41,25 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def table_refusal(m: int, n: int, weight: int) -> str:
+    """Why the (m, n) table of a group's elements, for weights up to ``weight``,
+    cannot be built, or "" if it can: every ``k * e_i`` must fit int64, and
+    building the phase table, which peaks at about 42 bytes per entry, must fit
+    the machine's physical memory."""
+    if (m - 1) * weight >= 2**63:
+        return "its exponents k * e_i overflow int64"
+    if 48 * m * n > _memory_bytes():
+        return f"building it takes about {48 * m * n} bytes, more than the machine's memory"
+    return ""
+
+
+def _memory_bytes() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: int64 is the limit
+        return 2**63
+
+
 def is_prime(p) -> bool:
     """Trial division; False below 2 and for anything but an integer."""
     if not is_int(p) or p < 2:
@@ -69,7 +89,9 @@ PARAMS = {
              'must be one of "auto", "gaussian", "identity"'),
     "seed": (lambda v, n: is_int(v) and v >= 0, "must be an integer >= 0"),
     "samples": (lambda v, n: is_int(v) and v >= 1, "must be an integer >= 1"),
-    "p": (lambda v, n: is_prime(v) and v >= 5, "must be a prime integer >= 5"),
+    # the p x p table of the modulation action first: the primality test divides up to sqrt(p)
+    "p": (lambda v, n: is_int(v) and v >= 5 and not table_refusal(v, v, v - 1) and is_prime(v),
+          "must be a prime integer >= 5 whose p x p table of group elements can be built"),
     "lam": (lambda v, n: is_real(v) and v > 0, "must be a real number > 0"),
     "delta": (lambda v, n: is_real(v) and 0.0 < v < 2.0, "must be a real number in (0, 2)"),
     "epsilons": (lambda v, n: isinstance(v, (list, tuple)) and bool(v)

@@ -8,6 +8,8 @@ from orbit_embed import (CyclicAction, DimensionError, FormError, ParameterError
                          make_translation_action, orbit, quotient_distance,
                          to_fourier_domain)
 from orbit_embed import action as action_module
+from orbit_embed import errors
+from orbit_embed.errors import check_param
 from orbit_embed.oracles import exhaustive_orbit_distance, same_orbit
 
 from conftest import unit_vector
@@ -86,6 +88,17 @@ class TestOrdersWithoutATable:
     def test_refused(self, m, call):
         with pytest.raises(ParameterError, match=f"action.m = {m} is too large"):
             call(make_cyclic_action(m, [1, 2]))
+
+    def test_the_prime_rule_is_the_table_rule(self, monkeypatch):
+        # with memory for a 7 x 7 table only, p = 7 passes and p = 11 is refused,
+        # as the modulation action of order 11 is
+        monkeypatch.setattr(errors, "_memory_bytes", lambda: 48 * 7 * 7)
+        check_param(p=7)
+        action_module._powers(make_cyclic_action(7, range(7)))
+        with pytest.raises(ParameterError, match="p must be a prime"):
+            check_param(p=11)
+        with pytest.raises(ParameterError, match="action.m = 11 is too large"):
+            action_module._powers(make_cyclic_action(11, range(11)))
 
 
 class TestMakeTranslationAction:

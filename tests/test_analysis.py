@@ -1,6 +1,8 @@
 import gc
 import importlib
 import json
+import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -64,8 +66,8 @@ def reference_orbit_pass(action, f, samples, seed):
         gaps = np.linalg.norm(values - values[0], axis=-1)
         scale = 1.0 + np.linalg.norm(values[:1], axis=-1)[0]
         for k in range(action.m):
-            if gaps[k] / scale > (worst[2] if worst else 0.0):
-                worst = (i, k, float(gaps[k] / scale))
+            if gaps[k] / scale > (worst["deviation"] if worst else 0.0):
+                worst = {"sample": i, "k": k, "deviation": float(gaps[k] / scale)}
             spread = max(spread, float(gaps[k]))
     return worst, spread
 
@@ -114,6 +116,69 @@ class TestOrbitPass:
         check_invariance(translation_pipeline, samples=10, seed=4, passes=passes)
         assert orbit_pass_calls == [(20, 4), (20, 5), (10, 4)]
         assert set(passes) == {(4, 20), (5, 20), (4, 10)}
+
+
+def keep(largest, *blocks):
+    # a keeper offered (values, first sample index, fields) blocks in turn
+    worst = analysis._Worst("value", largest)
+    for values, start, fields in blocks:
+        values = np.asarray(values, dtype=float)
+        worst.offer(values, start + np.arange(values.size),
+                    **{key: np.asarray(a) for key, a in fields.items()})
+    return worst
+
+
+class TestWorstCaseKeeper:
+    """A suite's worst case is the first sample, in index order, whose value
+    beats the kept one strictly and beats the start (0 for a maximum, inf for a
+    minimum); its case holds Python numbers."""
+
+    @pytest.mark.parametrize("largest,values", [(True, [1.0, 3.0, 2.0, 3.0]),
+                                                (False, [2.0, 0.5, 1.0, 0.5])])
+    def test_a_tie_in_one_block_keeps_the_first(self, largest, values):
+        worst = keep(largest, (values, 10, {"q": [0.1, 0.2, 0.3, 0.4]}))
+        assert worst.case == {"sample": 11, "value": values[1], "q": 0.2}
+        assert worst.value == values[1]
+
+    @pytest.mark.parametrize("largest,first,tie,better", [(True, 3.0, 3.0, 4.0),
+                                                          (False, 0.5, 0.5, 0.25)])
+    def test_a_tie_across_blocks_keeps_the_first(self, largest, first, tie, better):
+        worst = keep(largest, ([first, 2.0], 0, {}), ([1.0, tie], 2, {}))
+        assert worst.case == {"sample": 0, "value": first}
+        worst = keep(largest, ([first, 2.0], 0, {}), ([1.0, tie], 2, {}),
+                     ([better, better], 4, {}))
+        assert worst.case == {"sample": 4, "value": better}
+
+    @pytest.mark.parametrize("largest,start", [(True, 0.0), (False, math.inf)])
+    def test_a_value_equal_to_the_start_is_not_kept(self, largest, start):
+        worst = keep(largest, ([start, start], 0, {}), ([start], 2, {}))
+        assert worst.case is None and worst.value == start
+
+    @pytest.mark.parametrize("largest", [True, False])
+    def test_empty_blocks_change_nothing(self, largest):
+        assert keep(largest, ([], 0, {"q": []})).case is None
+        worst = keep(largest, ([], 0, {"q": []}), ([1.0], 0, {"q": [7]}), ([], 1, {"q": []}))
+        assert worst.case == {"sample": 0, "value": 1.0, "q": 7}
+
+    def test_a_block_of_rows_is_read_row_major(self):
+        # the orbit pass's (samples, k) blocks: the first sample, then the first k
+        dev = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 2.0]])
+        rows, k = np.indices(dev.shape)
+        worst = analysis._Worst("deviation", largest=True)
+        worst.offer(dev, 5 + rows, k=k)
+        assert worst.case == {"sample": 5, "deviation": 2.0, "k": 2}
+
+    def test_the_case_holds_json_types(self):
+        rows, k = np.indices((2, 3))
+        worst = analysis._Worst("deviation", largest=True)
+        worst.offer(np.arange(6.0).reshape(2, 3), np.int64(9) + rows, k=k,
+                    quotient_distance=np.full((2, 3), 0.5, dtype=np.float64))
+        case = worst.case
+        assert case == {"sample": 10, "deviation": 5.0, "k": 2, "quotient_distance": 0.5}
+        assert {key: type(value) for key, value in case.items()} == {
+            "sample": int, "deviation": float, "k": int, "quotient_distance": float}
+        assert type(worst.value) is float
+        assert json.loads(json.dumps(case)) == case
 
 
 @pytest.mark.parametrize("run", [
@@ -415,6 +480,13 @@ class TestPrimeCase:
         with pytest.raises(ParameterError):
             prime_fourier_map(p, np.ones(5))
 
+    @pytest.mark.parametrize("p", [2**61 - 1, 100_000_007])
+    def test_prime_without_a_table_is_refused_promptly(self, p):
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match="p must be a prime"):
+            prime_case_report(p, samples=1)
+        assert time.perf_counter() - start < 5.0
+
     def test_report(self):
         report = prime_case_report(5, samples=100, seed=3)
         assert report.passed
@@ -432,8 +504,9 @@ class TestBoundConsistency:
 
 class TestWorstCaseReplay:
     """Each reported worst case, recomputed from its sample index with
-    single-signal calls, gives the reported statistic: the blocked suites
-    keep the index of the sample they report."""
+    single-signal calls, gives every field of the case and the reported
+    statistic: the blocked suites keep the index of the sample they report,
+    and the case names the statistic under the suite's own name."""
 
     @pytest.fixture(scope="class", params=["z12_pipeline", "translation_pipeline"])
     def pipeline(self, request):
@@ -444,30 +517,49 @@ class TestWorstCaseReplay:
         rng = sample_rng(seed, sample)
         return sphere_point(rng, n), sphere_point(rng, n)
 
+    def test_invariance(self, pipeline):
+        report = check_invariance(pipeline, samples=300, seed=7)
+        case = report.cases[0]
+        x = sphere_point(sample_rng(7, case["sample"]), pipeline.action.n)
+        values = embed(pipeline, orbit(pipeline.action, x))
+        dev = (np.linalg.norm(values - values[0], axis=-1)
+               / (1.0 + np.linalg.norm(values[:1], axis=-1)[0]))
+        assert int(np.argmax(dev)) == case["k"]
+        assert dev[case["k"]] == pytest.approx(report.statistic, rel=1e-12)
+        assert case["deviation"] == report.statistic
+
     def test_lipschitz(self, pipeline):
         report = empirical_lipschitz(pipeline, samples=2000, seed=7)
-        rng = sample_rng(7, report.cases[0]["sample"])
+        case = report.cases[0]
+        rng = sample_rng(7, case["sample"])
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
         x, y = (s * sphere_point(rng, pipeline.action.n) for s in scales)
-        ratio = (np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))
-                 / quotient_distance(pipeline.action, x, y))
+        d = quotient_distance(pipeline.action, x, y)
+        assert d == pytest.approx(case["quotient_distance"], rel=1e-12)
+        ratio = np.linalg.norm(embed(pipeline, x) - embed(pipeline, y)) / d
         assert ratio == pytest.approx(report.statistic, rel=1e-12)
+        assert case["ratio"] == report.statistic
 
     def test_separation(self, pipeline):
         report = separation_margin(pipeline, samples=400, delta=0.1, seed=7)
-        x, y = self.pair(7, report.cases[0]["sample"], pipeline.action.n)
-        assert quotient_distance(pipeline.action, x, y) >= 0.1
+        case = report.cases[0]
+        x, y = self.pair(7, case["sample"], pipeline.action.n)
+        d = quotient_distance(pipeline.action, x, y)
+        assert d >= 0.1 and d == pytest.approx(case["quotient_distance"], rel=1e-12)
         margin = np.linalg.norm(embed(pipeline, x) - embed(pipeline, y))
         assert margin == pytest.approx(report.statistic, rel=1e-12)
+        assert case["margin"] == report.statistic
 
     def test_nonparallel(self, pipeline):
         report = nonparallel_falsification(pipeline, samples=1200, delta=0.1, seed=7)
-        x, y = self.pair(7, report.cases[0]["sample"], pipeline.action.n)
+        case = report.cases[0]
+        x, y = self.pair(7, case["sample"], pipeline.action.n)
         hx, hy = measure(pipeline, x), measure(pipeline, y)
         lam = max(float(np.real(np.vdot(hy, hx))) / np.linalg.norm(hy) ** 2, 0.0)
-        assert lam == pytest.approx(report.cases[0]["lambda"], rel=1e-12)
+        assert lam == pytest.approx(case["lambda"], rel=1e-12)
         resid = np.linalg.norm(hx - lam * hy)
         assert resid == pytest.approx(report.statistic, rel=1e-12)
+        assert case["residual"] == report.statistic
 
 
 # seeds of one word (0 too), of two, and of more words than the hash pool holds

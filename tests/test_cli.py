@@ -554,9 +554,12 @@ class TestSharedOrbitPass:
         assert memo is other and set(memo) == {(7, 5), (7, 3)}
 
         def leaves(value):
+            if type(value) is dict:
+                assert all(type(key) is str for key in value)
+                value = tuple(value.values())
             return [v for item in value for v in leaves(item)] if type(value) is tuple else [value]
 
-        # plain numbers: no array, so no (S, m, k) orbit embedding
+        # plain numbers: no array, so no (S, m, k) orbit embedding, and no keeper
         values = leaves(tuple(memo.values()))
         assert values and all(v is None or type(v) in (int, float) for v in values)
 
@@ -625,6 +628,29 @@ class TestSampleStreamBytes:
         assert len(blocked) > 1 and blocked == per_sample
 
 
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
+
+class TestPinnedReports:
+    """``verify`` on each shipped config, at its shipped counts, writes the
+    pinned bytes of every suite report, ``data/reports/<config>/<suite>.json``
+    (made with numpy 2.4.6 on OpenBLAS 0.3.31; another BLAS may round
+    otherwise). ``summary.json`` carries a timestamp and is not pinned."""
+
+    @pytest.mark.parametrize("name", ["z12_c5", "translation_c8", "minus_identity_c2"])
+    def test_suite_reports_are_the_pinned_bytes(self, tmp_path, capsys, name):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        doc["out"] = str(tmp_path / "out")
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+        written = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()
+                   if path.name != "summary.json"}
+        pinned = {path.name: path.read_bytes() for path in (REPORTS / name).iterdir()}
+        assert sorted(pinned) == sorted(f"{suite}.json" for suite in doc["suites"])
+        assert sorted(written) == sorted(pinned)
+        for file, content in pinned.items():
+            assert written[file] == content, file
+
+
 class TestMonomialsCommand:
     def test_writes_canonical_json(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
@@ -673,6 +699,17 @@ class TestGroupOrder:
     def test_verify_refuses_orders_without_a_table(self, tmp_path, capsys, m):
         assert main(["verify", "--config", self.config(tmp_path, m, (1, 2))]) == 2
         assert f"action.m = {m} is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 100_000_007])
+    def test_verify_refuses_a_prime_without_a_table_promptly(self, tmp_path, capsys, p):
+        # 2**61 - 1 ran the primality test's trial division to its square root,
+        # and 100,000,007 built the list of its 10**8 weights before a refusal
+        doc = dict(Z12_CONFIG, suites={"prime": {"p": p}}, out=str(tmp_path / "out"))
+        start = time.perf_counter()
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "'suites.prime.p'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_large_order_builds_promptly(self, tmp_path, capsys):
         start = time.perf_counter()
