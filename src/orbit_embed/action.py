@@ -9,13 +9,14 @@ Two concrete forms are supported:
   equivalent, via the DFT, to the diagonal action with weights ``e_j = j``.
 
 All operations are pure; ``CyclicAction`` values are immutable and hashable.
+Each action builds its ``(m, n)`` group table on first use and frees it with itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,26 @@ class CyclicAction:
     n: int
     weights: tuple[int, ...]
     form: str = DIAGONAL
+
+    @cached_property
+    def _phases(self) -> np.ndarray:
+        # row k = elementwise factors of T^k for the diagonal form, shape (m, n)
+        k = _powers(self)
+        e = np.array(self.weights).reshape(1, -1)
+        r = k * e % self.m
+        table = np.exp(2j * np.pi * r / self.m)
+        # quarter-period roots are exactly representable; snap them so that e.g.
+        # T = -I negates without rounding dust
+        quarter = 4 * r % self.m == 0
+        exact = np.array([1.0, 1.0j, -1.0, -1.0j])
+        table[quarter] = exact[4 * r[quarter] // self.m % 4]
+        return table
+
+    @cached_property
+    def _shifts(self) -> np.ndarray:
+        # row k = source indices of T^k for the translation form, shape (m, n)
+        k = _powers(self)
+        return (np.arange(self.n) - k) % self.n
 
 
 def make_cyclic_action(m: int, weights) -> CyclicAction:
@@ -92,29 +113,6 @@ def _powers(action: CyclicAction) -> np.ndarray:
     return np.arange(m).reshape(-1, 1)
 
 
-@lru_cache(maxsize=64)
-def _phase_table(action: CyclicAction) -> np.ndarray:
-    # row k = elementwise factors of T^k for the diagonal form, shape (m, n)
-    k = _powers(action)
-    e = np.array(action.weights).reshape(1, -1)
-    r = k * e % action.m
-    table = np.exp(2j * np.pi * r / action.m)
-    # quarter-period roots are exactly representable; snap them so that e.g.
-    # T = -I negates without rounding dust
-    quarter = 4 * r % action.m == 0
-    exact = np.array([1.0, 1.0j, -1.0, -1.0j])
-    table[quarter] = exact[4 * r[quarter] // action.m % 4]
-    return table
-
-
-@lru_cache(maxsize=64)
-def _shift_table(action: CyclicAction) -> np.ndarray:
-    # row k = source indices of T^k for the translation form, shape (m, n)
-    j = np.arange(action.n).reshape(1, -1)
-    k = _powers(action)
-    return (j - k) % action.n
-
-
 def act(action: CyclicAction, k, x) -> np.ndarray:
     """Apply the k-th power of the generator to a signal, or to a batch
     ``(S, n)`` with one k for all rows or an ``(S,)`` array of them.
@@ -129,17 +127,17 @@ def act(action: CyclicAction, k, x) -> np.ndarray:
         raise DimensionError(f"got {k.size} powers for signals of shape {x.shape}")
     if action.form == TRANSLATION:
         if np.ndim(k):
-            return np.take_along_axis(x, _shift_table(action)[k], axis=-1)
-        return x[..., _shift_table(action)[k]]
-    return _phase_table(action)[k] * x
+            return np.take_along_axis(x, action._shifts[k], axis=-1)
+        return x[..., action._shifts[k]]
+    return action._phases[k] * x
 
 
 def orbit(action: CyclicAction, x) -> np.ndarray:
     """All m images T^k x, k = 0..m-1: ``(m, n)``, or ``(S, m, n)`` for a batch."""
     x = as_signals(x, action.n)
     if action.form == TRANSLATION:
-        return x[..., _shift_table(action)]
-    return _phase_table(action) * x[..., None, :]
+        return x[..., action._shifts]
+    return action._phases * x[..., None, :]
 
 
 def quotient_distance(action: CyclicAction, x, y):
@@ -167,7 +165,7 @@ def quotient_distance(action: CyclicAction, x, y):
     u, v = (dft(x), dft(y)) if action.form == TRANSLATION else (x, y)
     with np.errstate(all="ignore"):  # non-finite scores mark rows to enumerate
         scale = (u.conj() * u).real.sum(-1) + (v.conj() * v).real.sum(-1)
-        score = scale[:, None] - 2.0 * ((u.conj() * v) @ _phase_table(action).T).real
+        score = scale[:, None] - 2.0 * ((u.conj() * v) @ action._phases.T).real
         near = score <= score.min(-1, keepdims=True) + _CANDIDATE_SLACK * scale[:, None]
     scored = np.isfinite(score).all(-1) & (_SCORED_SCALE[0] <= scale) & (scale <= _SCORED_SCALE[1])
     rows, k = np.nonzero(near | ~scored[:, None])

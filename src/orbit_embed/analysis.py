@@ -37,7 +37,7 @@ import numpy as np
 from .action import CyclicAction, act, as_signals, make_cyclic_action, orbit, quotient_distance
 from .embed import (Pipeline, blocks, embed, embed_monomial_domain,
                     eval_invariants, eval_partials, lipschitz_bound, measure)
-from .errors import HypothesisError, ParameterError, check_param, is_prime
+from .errors import HypothesisError, ParameterError, check_param, is_int, is_prime
 from .invariants import PairMonomial, SeparatingSet
 
 __all__ = [
@@ -553,9 +553,11 @@ def prime_fourier_map(p: int, xhat) -> np.ndarray:
     but fails to separate orbits whenever xhat_1 = 0, which is why the full
     separating set is needed.
     """
+    if not is_int(p):
+        raise ParameterError(f"p must be prime, got {p!r}")
+    xhat = as_signals(xhat, p)  # first: it bounds the trial division by sqrt(len(xhat))
     if not is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
-    xhat = as_signals(xhat, p)
     cross = xhat[..., 1:2] ** np.arange(p - 2, 0, -1) * xhat[..., 2:]
     return np.concatenate((xhat[..., :1], xhat[..., 1:] ** p, cross), axis=-1)
 

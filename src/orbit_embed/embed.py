@@ -187,18 +187,18 @@ def eval_gradient(sset: SeparatingSet, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Action + separating set + reducer; evaluates F, H = l o F, and Phi.
-
-    ``diag`` is the diagonal form the monomials act on: identical to
-    ``action`` for diagonal input, its Fourier conjugate for translation
-    input (signals are DFT'd before evaluation; the quotient metric is
-    preserved exactly by the unitary conjugation).
-    """
+    """Action + separating set + reducer; evaluates F, H = l o F, and Phi."""
 
     action: CyclicAction
-    diag: CyclicAction
     sset: SeparatingSet
     reducer: Reducer
+
+    @property
+    def diag(self) -> CyclicAction:
+        """The diagonal form the monomials act on: ``action``, or its Fourier
+        conjugate for translation input (signals are DFT'd before evaluation;
+        the unitary conjugation preserves the quotient metric exactly)."""
+        return self.sset.action
 
     @property
     def target_dim(self) -> int:
@@ -226,7 +226,7 @@ def make_pipeline(action: CyclicAction, seed: int = 0,
     sset = separating_set(diag)
     k = auto_target_dim(diag, sset.size) if target_dim == "auto" else target_dim
     reducer = make_reducer(sset.size, k, seed=seed, kind=reducer_kind)
-    return Pipeline(action=action, diag=diag, sset=sset, reducer=reducer)
+    return Pipeline(action, sset, reducer)
 
 
 def _to_monomial_domain(pipeline: Pipeline, x) -> np.ndarray:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,18 @@ class TestOrdersWithoutATable:
             check_param(p=11)
         with pytest.raises(ParameterError, match="action.m = 11 is too large"):
             action_module._powers(make_cyclic_action(11, range(11)))
+
+
+class TestTablesLiveOnTheAction:
+    def test_freed_with_the_action(self, rng):
+        # a module-level cache kept up to 64 tables after their actions were gone
+        action = make_translation_action(8)
+        x = unit_vector(rng, 8)
+        assert quotient_distance(action, x, act(action, 3, x)) == pytest.approx(0.0, abs=1e-12)
+        tables = [weakref.ref(action._phases), weakref.ref(action._shifts)]
+        del action
+        gc.collect()
+        assert [table() for table in tables] == [None, None]
 
 
 class TestMakeTranslationAction:
@@ -414,13 +429,14 @@ class TestOrbitOracle:
         assert same_orbit(z12_action, *pair)
 
     def test_sees_weights_off_by_one_in_the_phase_table(self, z12_action, pair, monkeypatch):
-        table = action_module._phase_table
+        table = CyclicAction._phases.func
 
         def off_by_one(action):
             return table(CyclicAction(m=action.m, n=action.n, form=action.form,
                                       weights=tuple((e + 1) % action.m for e in action.weights)))
 
-        monkeypatch.setattr(action_module, "_phase_table", off_by_one)
+        # a data descriptor wins over a table already cached on the instance
+        monkeypatch.setattr(CyclicAction, "_phases", property(off_by_one))
         mutant = quotient_distance(z12_action, *pair)
         oracle = exhaustive_orbit_distance(z12_action, *pair)
         assert oracle == pytest.approx(0.0, abs=1e-12)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbit_embed import (HypothesisError, ParameterError, act,
+from orbit_embed import (HypothesisError, OrbitEmbedError, ParameterError, act,
                          check_invariance, coordinate_order, embed,
                          empirical_lipschitz, eval_invariants,
                          find_degeneration_witness, lipschitz_bound,
@@ -486,6 +486,13 @@ class TestPrimeCase:
         with pytest.raises(ParameterError, match="p must be a prime"):
             prime_case_report(p, samples=1)
         assert time.perf_counter() - start < 5.0
+
+    def test_large_prime_checks_the_signal_length_first(self):
+        # trial division to sqrt(2**61 - 1) ran before the length check and hung
+        start = time.perf_counter()
+        with pytest.raises(OrbitEmbedError):
+            prime_fourier_map(2**61 - 1, np.ones(5))
+        assert time.perf_counter() - start < 1.0
 
     def test_report(self):
         report = prime_case_report(5, samples=100, seed=3)

@@ -4,6 +4,7 @@ import errno
 import gc
 import importlib
 import json
+import pkgutil
 import sys
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import orbit_embed
 from orbit_embed import analysis, cli
 from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
@@ -586,6 +588,18 @@ class TestSharedOrbitPass:
         self.reports(tmp_path, "all", suites, 8)
         assert len(seen) == len(suites)
         assert all(during == before for during in seen) and state() == before
+
+    def test_no_module_level_caches(self):
+        # the state above skips callables, so a functools cache on a module
+        # function or a method would hold its arguments and results unseen
+        for info in pkgutil.iter_modules(orbit_embed.__path__):
+            importlib.import_module(f"orbit_embed.{info.name}")
+        owners = [vars(module) for name, module in list(sys.modules.items())
+                  if name.split(".")[0] == "orbit_embed"]
+        owners += [vars(value) for owner in list(owners) for value in owner.values()
+                   if isinstance(value, type) and value.__module__.startswith("orbit_embed")]
+        assert [key for owner in owners for key, value in owner.items()
+                if hasattr(value, "cache_info")] == []
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
