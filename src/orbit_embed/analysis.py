@@ -98,22 +98,15 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_CHUNK = 256
 
 
-def _uint32_words(value: int) -> list[int]:
-    # little-endian 32-bit words, [0] for 0 (numpy's _int_to_uint32_array)
-    value = int(value)
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
 def _seed_sequence_states(seed: int, start: int, stop: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for i in
-    ``range(start, stop)``, all of one word count, as rows: the ``mix_entropy``
-    hash in uint32 arithmetic, run once for the seed's words and over a uint32
-    array for the index words."""
-    hash_const = _INIT_A
+    ``range(start, stop)``, all of one word count, as rows: numpy's pool for the
+    seed alone (``SeedSequence(seed).pool``), then the ``mix_entropy`` hash of the
+    index words in uint32 arithmetic over a uint32 array."""
+    # numpy's pool took 4 * max(4, L) hashmix calls for the seed's L 32-bit words
+    # (padded to the pool size, then cross-mixed); the constant runs on from there
+    seed_words = -(-int(seed).bit_length() // 32)
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, seed_words), 2**32) & _MASK32
 
     def hashmix(value):
         nonlocal hash_const
@@ -126,19 +119,12 @@ def _seed_sequence_states(seed: int, start: int, stop: int) -> np.ndarray:
         result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
         return result ^ result >> _XSHIFT
 
-    # a spawn key pads the seed's words to the pool size
-    seed_words = _uint32_words(seed)
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    pool = np.random.SeedSequence(seed).pool.tolist()
     index = np.arange(start, stop, dtype=np.uint64)
-    entropy += [(index & _MASK32).astype(np.uint32)]
+    entropy = [(index & _MASK32).astype(np.uint32)]
     if start > _MASK32:
         entropy.append((index >> 32).astype(np.uint32))
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in entropy:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
     # generate_state: 8 words from the pool, read as 4 little-endian uint64
@@ -522,11 +508,15 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     xe[:, support] = np.sqrt(1.0 - np.square([0.0] + eps))
     xe[1:, perturb] = eps
     dists = quotient_distance(diag, xe[1:], xe[0])
-    if (dists <= 0.0).any():
-        raise HypothesisError(f"witness path hit the same orbit at eps={eps[np.argmin(dists)]}")
     phi = embed_monomial_domain(pipeline, xe)
     # the whole-vector (BLAS dot) norm of each row keeps the recorded sweep bits
     gaps = [float(np.linalg.norm(row)) for row in phi[1:] - phi[0]]
+    # x_eps has two nonzero moduli and x one, so they never share an orbit: a 0
+    # is float64 underflow, and its logarithm would make the fit NaN
+    for what, values in (("quotient distance", dists.tolist()), ("embedding gap", gaps)):
+        if 0.0 in values:
+            raise HypothesisError(f"the {what} at eps={eps[values.index(0.0)]} is 0 in "
+                                  "float64 (underflow); use larger epsilons")
     ratios = (np.array(gaps) / dists).tolist()
 
     log_e = np.log(eps)
@@ -534,7 +524,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     slope, intercept = np.polyfit(log_e, log_r, 1)
     fit = slope * log_e + intercept
     residual = float(np.sqrt(np.mean((fit - log_r) ** 2)))
-    passed = 0.8 <= slope <= 1.2 and ratios[-1] / ratios[0] < 0.5
+    passed = bool(0.8 <= slope <= 1.2 and ratios[-1] / ratios[0] < 0.5)
     return SweepResult(
         epsilons=tuple(eps), quotient_distances=tuple(dists.tolist()),
         embedding_gaps=tuple(gaps), ratios=tuple(ratios),

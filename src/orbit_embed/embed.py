@@ -27,13 +27,8 @@ __all__ = [
     "Reducer", "Pipeline", "LipschitzBound",
     "make_reducer", "eval_invariants", "eval_partials", "eval_gradient", "operator_norm",
     "make_pipeline", "auto_target_dim", "measure", "embed", "embed_monomial_domain",
-    "lipschitz_bound", "blocks",
-    "ZERO_NORM_THRESHOLD", "BLOCK_BYTES",
+    "lipschitz_bound", "blocks", "BLOCK_BYTES",
 ]
-
-# Inputs with norm below this are mapped to exactly zero (underflow guard;
-# far below any meaningful signal scale).
-ZERO_NORM_THRESHOLD = 1e-300
 
 # Byte size of the largest temporary array of a batch evaluation: rows, and the
 # suites' samples, go in blocks of this size, so memory does not grow with S.
@@ -270,10 +265,12 @@ def embed_monomial_domain(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
     """Phi for a signal ``(n,)`` or batch ``(S, n)`` already in the diagonal
     (monomial) domain.
 
-    Computes ||u|| H(u/||u||), and exactly zero below ZERO_NORM_THRESHOLD.
+    Computes ||u|| H(u/||u||), and exactly zero where ||u|| is 0 in float64,
+    as it is for a nonzero row whose squared entries all underflow (entries
+    below about 1.6e-162).
     """
     nrm = np.linalg.norm(u, axis=-1, keepdims=True)
-    zero = nrm < ZERO_NORM_THRESHOLD
+    zero = nrm == 0.0
     nrm[zero] = 1.0  # zero rows are evaluated at u itself, then zeroed
     return np.where(zero, 0.0, nrm * _reduce(pipeline, u / nrm))
 

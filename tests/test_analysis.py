@@ -420,6 +420,21 @@ class TestLowerLipschitzSweep:
         assert (support, perturb) == (0, 1)
         assert (pair.j, pair.k, pair.a, pair.b) == (1, 2, 1, 2)
 
+    def test_witness_on_the_first_coordinate(self):
+        # the first pair, (1, 2), has a = 2 and b = 1: eps goes on coordinate 0
+        pipeline = make_pipeline(make_cyclic_action(4, [1, 2, 1]))
+        support, perturb, pair = find_degeneration_witness(pipeline.sset)
+        assert (support, perturb) == (1, 0)
+        assert (pair.j, pair.k, pair.a, pair.b) == (1, 2, 2, 1)
+        result = lower_lipschitz_sweep(pipeline, self.EPSILONS)
+        assert result.passed and 0.99 <= result.slope <= 1.01
+
+    def test_failing_sweep_passed_is_a_python_bool(self, z12_pipeline):
+        # witness (1, 0) fits a slope near 0; the failed gate was a numpy.bool
+        result = lower_lipschitz_sweep(z12_pipeline, self.EPSILONS, witness=(1, 0))
+        assert result.passed is False
+        assert json.loads(json.dumps(result.to_json_dict()))["pass"] is False
+
     def test_small_group_rejected(self, minus_identity_pipeline):
         with pytest.raises(HypothesisError):
             lower_lipschitz_sweep(minus_identity_pipeline, self.EPSILONS)
@@ -473,6 +488,10 @@ class TestPrimeCase:
     def test_composite_rejected(self):
         with pytest.raises(ParameterError):
             prime_fourier_map(6, np.ones(6))
+
+    def test_p_below_two_rejected(self):
+        with pytest.raises(ParameterError, match="p must be prime, got 1"):
+            prime_fourier_map(1, np.ones(1))
 
     @pytest.mark.parametrize("p", [5.0, "5", True, None])
     def test_non_integer_rejected(self, p):

@@ -22,7 +22,7 @@ from orbit_embed import analysis, cli
 from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
-from orbit_embed.embed import blocks
+from orbit_embed.embed import blocks, embed
 from orbit_embed.errors import DataError, DimensionError, ParameterError
 
 from conftest import oracle_draw
@@ -47,6 +47,14 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestRunConfig:
@@ -150,6 +158,15 @@ class TestRunConfig:
 
 
 class TestSignalIO:
+    def test_unknown_format_refused(self, tmp_path):
+        path = tmp_path / "sig.xml"
+        with pytest.raises(DataError, match="unknown signal format 'xml'"):
+            save_signals(str(path), np.ones((1, 2)), "xml")
+        assert not path.exists()
+        path.write_text("[[[1, 0]]]")
+        with pytest.raises(DataError, match="unknown signal format 'xml'"):
+            load_signals(str(path), "xml")
+
     def test_json_single_signal(self, tmp_path):
         path = tmp_path / "sig.json"
         path.write_text("[[[1, 0], [0, 0]]]")
@@ -665,6 +682,51 @@ class TestPinnedReports:
             assert written[file] == content, file
 
 
+class TestShippedFixtures:
+    """The three shipped fixtures are one set: the configs (pinned reports and
+    the benchmark), ``cli.BUILTIN_FIXTURES`` (golden.json) and the conftest
+    pipelines of the same name (acceptance tests)."""
+
+    PIPELINES = {"minus_identity_c2": "minus_identity_pipeline",
+                 "z12_c5": "z12_pipeline", "translation_c8": "translation_pipeline"}
+
+    def test_one_set_of_names(self):
+        configs = sorted(path.stem for path in CONFIGS.glob("*.json"))
+        assert configs == sorted(cli.BUILTIN_FIXTURES) == sorted(self.PIPELINES)
+
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_config_builtin_and_conftest_agree(self, request, name):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        spec = cli.BUILTIN_FIXTURES[name]
+        assert {"action": doc["action"], "reducer": doc["reducer"]} == spec
+        built = build_pipeline(config_from_dict(spec))
+        pipeline = request.getfixturevalue(self.PIPELINES[name])
+        assert pipeline.action == built.action
+        assert np.array_equal(pipeline.reducer.entries, built.reducer.entries)
+
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    def test_verify_writes_strict_json(self, tmp_path, capsys, name):
+        # the pinned reports are verify's bytes at the shipped counts
+        # (TestPinnedReports); summary.json comes from a run at small counts
+        for path in (REPORTS / name).iterdir():
+            strict_json(path.read_text())
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        for params in doc["suites"].values():
+            params.update({"samples": 5} if "samples" in params else {})
+        doc["out"] = str(tmp_path / "out")
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+        for path in (tmp_path / "out").iterdir():
+            strict_json(path.read_text())
+
+
+def test_every_exported_name_exists():
+    modules = [orbit_embed] + [importlib.import_module(f"orbit_embed.{info.name}")
+                               for info in pkgutil.iter_modules(orbit_embed.__path__)]
+    missing = [(module.__name__, name) for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
 class TestMonomialsCommand:
     def test_writes_canonical_json(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
@@ -818,6 +880,19 @@ class TestEmbedCommand:
     def test_missing_signals_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path, dict(Z12_CONFIG, out=str(tmp_path / "out")))
         assert main(["embed", "--config", config]) == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_signals_from_the_config(self, tmp_path, capsys, rng, fmt):
+        # without --signals, the config's signals section gives the path and format
+        x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        path = tmp_path / f"sigs.{fmt}"
+        save_signals(str(path), x, fmt)
+        doc = dict(Z12_CONFIG, signals={"path": str(path), "format": fmt},
+                   out=str(tmp_path / "out"))
+        assert main(["embed", "--config", write_config(tmp_path, doc)]) == 0
+        embedded = load_signals(str(tmp_path / "out" / f"embeddings.{fmt}"), fmt)
+        expected = embed(build_pipeline(config_from_dict(doc)), x)
+        assert embedded.tobytes() == expected.tobytes()
 
 
 def json_signal_files():
@@ -1101,6 +1176,41 @@ class TestSweepCommand:
         result = json.loads((tmp_path / "out" / "sweep.json").read_text())
         assert result["epsilons"] == [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
         assert result["pass"] is True
+
+    @staticmethod
+    def sweep_config(tmp_path, epsilons, witness):
+        doc = json.loads((CONFIGS / "z12_c5.json").read_text())
+        doc.update(suites={"sweep": {"epsilons": epsilons, "witness": witness}},
+                   out=str(tmp_path / "out"))
+        return write_config(tmp_path, doc)
+
+    @pytest.mark.parametrize("command, written", [
+        ("verify", {"sweep.json", "summary.json"}), ("sweep", {"sweep.json", "sweep.csv"})])
+    def test_failing_sweep_writes_its_reports_and_exits_1(self, tmp_path, capsys,
+                                                         command, written):
+        # witness (1, 0) fits a slope of about 0.012; the failed gate was a
+        # numpy.bool, which the JSON writer refused with a traceback
+        config = self.sweep_config(tmp_path, [0.1, 0.03, 0.01, 0.003, 0.001], [1, 0])
+        assert main([command, "--config", config]) == 1
+        out = tmp_path / "out"
+        assert {path.name for path in out.iterdir()} == written
+        docs = [strict_json((out / name).read_text()) for name in written
+                if name.endswith(".json")]
+        assert all(doc["pass"] is False for doc in docs)
+
+    @pytest.mark.parametrize("epsilons, zero", [
+        ([1e-100, 1e-200, 1e-300], "quotient distance at eps=1e-200 is 0 in float64"),
+        ([0.1, 1e-100], "embedding gap at eps=1e-100 is 0 in float64")],
+        ids=["distance", "gap"])
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_underflow_exits_2(self, tmp_path, capsys, command, epsilons, zero):
+        # x_eps and x never share an orbit, so a 0 is underflow: the first case
+        # was blamed on "the same orbit", the second warned in np.log and crashed
+        config = self.sweep_config(tmp_path, epsilons, [3, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", config]) == 2
+        assert zero in capsys.readouterr().err
 
 
 class TestFixturesCommand:

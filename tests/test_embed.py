@@ -289,6 +289,11 @@ class TestOperatorNorm:
     def test_zero_matrix(self):
         assert operator_norm(np.zeros((3, 4))) == 0.0
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), ()])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(DimensionError, match="expects a matrix"):
+            operator_norm(np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_rejected(self, bad):
         a = np.eye(3, 4, dtype=complex)
@@ -357,6 +362,12 @@ class TestEmbed:
     def test_tiny_inputs_hit_zero_branch(self, z12_pipeline):
         phi = embed(z12_pipeline, np.full(5, 1e-320 + 0j))
         assert np.all(phi == 0)
+
+    def test_zero_branch_is_a_norm_of_zero(self, z12_pipeline):
+        # squares of entries below about 1.6e-162 underflow, so the norm is 0;
+        # entries of 3e-162 have a nonzero norm, and a nonzero embedding
+        assert np.all(embed(z12_pipeline, np.full(5, 1e-170 + 0j)) == 0)
+        assert np.all(embed(z12_pipeline, np.full(5, 3e-162 + 0j)) != 0)
 
     def test_positive_homogeneity(self, z12_pipeline, rng):
         x = unit_vector(rng, 5)
