@@ -12,41 +12,15 @@ The resulting map is invariant under the action, separates orbits, and is
 Lipschitz with constant at most 3 * m * ||reducer|| in the quotient metric.
 """
 
-from .action import (CyclicAction, act, as_signals, dft, idft,
-                     make_cyclic_action, make_translation_action, orbit,
-                     quotient_distance, to_fourier_domain)
-from .analysis import (SweepResult, VerificationReport, check_invariance,
-                       empirical_lipschitz, find_degeneration_witness,
-                       lower_lipschitz_sweep, nonparallel_falsification,
-                       prime_case_report, prime_collision_pair,
-                       prime_fourier_map, separation_margin, sup_norm_check,
-                       tilde_rescale)
-from .embed import (LipschitzBound, Pipeline, Reducer, auto_target_dim, embed,
-                    eval_gradient, eval_invariants, lipschitz_bound,
-                    make_pipeline, make_reducer, measure, operator_norm)
-from .errors import (DataError, DimensionError, FormError, HypothesisError,
-                     OrbitEmbedError, ParameterError)
-from .invariants import (Monomial, PairMonomial, PowerMonomial, SeparatingSet,
-                         coordinate_order, is_homogeneous,
-                         is_invariant_monomial, pair_exponents,
-                         separating_set, separating_set_to_json)
+# the modules' __all__ lists, read before the function embed shadows the module
+from . import action, analysis, embed, errors, invariants
 
 __version__ = "0.1.0"
+__all__ = [*action.__all__, *invariants.__all__, *embed.__all__, *analysis.__all__,
+           *errors.__all__, "__version__"]
 
-__all__ = [
-    "CyclicAction", "act", "as_signals", "dft", "idft", "make_cyclic_action",
-    "make_translation_action", "orbit", "quotient_distance", "to_fourier_domain",
-    "Monomial", "PairMonomial", "PowerMonomial", "SeparatingSet",
-    "coordinate_order", "is_homogeneous", "is_invariant_monomial",
-    "pair_exponents", "separating_set", "separating_set_to_json",
-    "LipschitzBound", "Pipeline", "Reducer", "auto_target_dim", "embed",
-    "eval_gradient", "eval_invariants", "lipschitz_bound", "make_pipeline",
-    "make_reducer", "measure", "operator_norm",
-    "SweepResult", "VerificationReport", "check_invariance",
-    "empirical_lipschitz", "find_degeneration_witness", "lower_lipschitz_sweep",
-    "nonparallel_falsification", "prime_case_report", "prime_collision_pair",
-    "prime_fourier_map", "separation_margin", "sup_norm_check", "tilde_rescale",
-    "DataError", "DimensionError", "FormError", "HypothesisError",
-    "OrbitEmbedError", "ParameterError",
-    "__version__",
-]
+from .action import *  # noqa: E402, F403
+from .invariants import *  # noqa: E402, F403
+from .embed import *  # noqa: E402, F403
+from .analysis import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import (DimensionError, FormError, ParameterError, check_param, is_int,
                      table_refusal)
 
+__all__ = ["CyclicAction", "make_cyclic_action", "make_translation_action", "as_signals",
+           "act", "orbit", "quotient_distance", "dft", "idft", "to_fourier_domain"]
+
 DIAGONAL = "diagonal"
 TRANSLATION = "translation"
 

@@ -45,8 +45,7 @@ __all__ = [
     "check_invariance", "separation_margin", "empirical_lipschitz",
     "nonparallel_falsification", "sup_norm_check",
     "lower_lipschitz_sweep", "find_degeneration_witness",
-    "tilde_rescale", "prime_fourier_map", "prime_case_report",
-    "INVARIANCE_TOL", "SAME_ORBIT_TOL",
+    "tilde_rescale", "prime_fourier_map", "prime_collision_pair", "prime_case_report",
 ]
 
 # Relative tolerance for "equal up to floating point" on embedded values.
@@ -272,13 +271,12 @@ def check_invariance(pipeline: Pipeline, samples: int, seed: int = 0, *,
                      passes: dict | None = None) -> VerificationReport:
     """Max relative deviation of Phi over full orbits of random unit signals.
 
-    The zero signal is always included as a forced case; its embeddings must
-    vanish exactly, not merely be small. ``passes`` is a memo of orbit passes
-    that one caller keeps for this pipeline (see the module docstring).
+    The zero signal, its own orbit, is always included as a forced case; its
+    embedding must vanish exactly, not merely be small. ``passes`` is a memo of
+    orbit passes that one caller keeps for this pipeline (see the module docstring).
     """
     check_param(samples=samples, seed=seed)
-    action = pipeline.action
-    worst = float(np.linalg.norm(embed(pipeline, orbit(action, np.zeros(action.n))), axis=-1).max())
+    worst = float(np.linalg.norm(embed(pipeline, np.zeros(pipeline.action.n))))
     case, _ = _embedding_orbit_pass(pipeline, samples, seed, passes)
     case = case if case and case["deviation"] > worst else None
     worst = case["deviation"] if case else worst
@@ -491,7 +489,7 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     and the ratio at least halves from the largest to the smallest eps.
     The witness pair is auto-detected unless given explicitly (0-based).
     """
-    diag = pipeline.diag
+    diag = pipeline.sset.action
     if diag.m < 3 or diag.n < 3:
         raise HypothesisError(
             f"degeneration requires group order and dimension >= 3, "

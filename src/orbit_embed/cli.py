@@ -483,7 +483,7 @@ def golden_fixture_values(seed: int = 7) -> dict:
         svd_norm = oracles.svd_operator_norm(pipeline.reducer.entries)
         norm = operator_norm(pipeline.reducer)
         margin_report = analysis.separation_margin(pipeline, 1000, 0.1, seed)
-        z = np.array([oracles.sphere_point(oracles.sample_rng(seed, i), pipeline.diag.n)
+        z = np.array([oracles.sphere_point(oracles.sample_rng(seed, i), pipeline.sset.n)
                       for i in range(20)])
         grad_err = float(oracles.gradient_discrepancy(pipeline.sset, z).max())
         doc[name] = {

@@ -25,9 +25,8 @@ from .invariants import SeparatingSet, is_homogeneous, separating_set
 
 __all__ = [
     "Reducer", "Pipeline", "LipschitzBound",
-    "make_reducer", "eval_invariants", "eval_partials", "eval_gradient", "operator_norm",
-    "make_pipeline", "auto_target_dim", "measure", "embed", "embed_monomial_domain",
-    "lipschitz_bound", "blocks", "BLOCK_BYTES",
+    "make_reducer", "eval_invariants", "eval_gradient", "operator_norm",
+    "make_pipeline", "auto_target_dim", "measure", "embed", "lipschitz_bound",
 ]
 
 # Byte size of the largest temporary array of a batch evaluation: rows, and the
@@ -38,9 +37,6 @@ BLOCK_BYTES = 256 * 1024
 # of two or more rows; a lone row is padded to two (a one-row product is a
 # gemv, which rounds differently), so no row's bits depend on its batch.
 PRODUCT_ROWS = 64
-
-GAUSSIAN = "gaussian"
-IDENTITY = "identity"
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,7 @@ class Reducer:
     entries: np.ndarray = field(repr=False, compare=False)
 
 
-def make_reducer(N: int, k: int, seed: int = 0, kind: str = GAUSSIAN) -> Reducer:
+def make_reducer(N: int, k: int, seed: int = 0, kind: str = "gaussian") -> Reducer:
     """Draw the generic linear map l: C^N -> C^k.
 
     Gaussian kind: independent entries with standard-normal real and
@@ -77,8 +73,8 @@ def make_reducer(N: int, k: int, seed: int = 0, kind: str = GAUSSIAN) -> Reducer
             f"reducer requires integer sizes 1 <= k <= N, got k={k!r}, N={N!r} "
             "(this map only reduces; padding is unsupported)")
     if kind == "auto":
-        kind = IDENTITY if k == N else GAUSSIAN
-    if kind == GAUSSIAN:
+        kind = "identity" if k == N else "gaussian"
+    if kind == "gaussian":
         # the stream of standard_normal((2, k, N)), drawn block by block straight
         # into the real, then the imaginary parts; times the reciprocal, which is
         # what dividing (z[0] + 1j*z[1]) by sqrt(2) computes, bit for bit
@@ -182,18 +178,15 @@ def eval_gradient(sset: SeparatingSet, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Action + separating set + reducer; evaluates F, H = l o F, and Phi."""
+    """Action + separating set + reducer; evaluates F, H = l o F, and Phi.
+
+    ``sset.action`` is the diagonal form the monomials act on: ``action``, or for
+    translation input its Fourier conjugate (signals are DFT'd; it keeps the metric).
+    """
 
     action: CyclicAction
     sset: SeparatingSet
     reducer: Reducer
-
-    @property
-    def diag(self) -> CyclicAction:
-        """The diagonal form the monomials act on: ``action``, or its Fourier
-        conjugate for translation input (signals are DFT'd before evaluation;
-        the unitary conjugation preserves the quotient metric exactly)."""
-        return self.sset.action
 
     @property
     def target_dim(self) -> int:
@@ -283,8 +276,9 @@ def embed(pipeline: Pipeline, x) -> np.ndarray:
     signal alone or in any other batch (the reducer product runs on at least
     ``PRODUCT_ROWS`` rows and never on one). Verification sampling stays on
     or near the unit sphere, where monomial powers of unit-modulus entries
-    cannot overflow; large inputs only scale the result linearly through the
-    ||x|| factor.
+    cannot overflow. Phi(c x) = c Phi(x) holds only while the float64 norm of
+    x is exact: from entries of about 1e154 it overflows (the result is NaN),
+    below about 1e-154 it loses accuracy, and below about 1.6e-162 it is 0.
     """
     return embed_monomial_domain(pipeline, _to_monomial_domain(pipeline, x))
 

@@ -6,6 +6,9 @@ import os
 
 import numpy as np
 
+__all__ = ["OrbitEmbedError", "DimensionError", "ParameterError", "FormError", "DataError",
+           "HypothesisError"]
+
 
 class OrbitEmbedError(ValueError):
     """Base class for all errors raised by this package."""
@@ -94,10 +97,11 @@ PARAMS = {
           "must be a prime integer >= 5 whose p x p table of group elements can be built"),
     "lam": (lambda v, n: is_real(v) and v > 0, "must be a real number > 0"),
     "delta": (lambda v, n: is_real(v) and 0.0 < v < 2.0, "must be a real number in (0, 2)"),
-    "epsilons": (lambda v, n: isinstance(v, (list, tuple)) and bool(v)
+    # one ratio has no slope to fit and cannot halve
+    "epsilons": (lambda v, n: isinstance(v, (list, tuple)) and len(v) >= 2
                  and all(is_real(e) and 0.0 < e <= 0.5 for e in v)
                  and all(b < a for a, b in zip(v, v[1:])),
-                 "must be a nonempty, strictly decreasing list of real numbers in (0, 0.5]"),
+                 "must be a strictly decreasing list of at least two real numbers in (0, 0.5]"),
     "witness": (lambda v, n: v is None or (isinstance(v, (list, tuple)) and len(v) == 2
                                            and all(map(is_int, v)) and 0 <= min(v)
                                            and max(v) < n and v[0] != v[1]),

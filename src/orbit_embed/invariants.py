@@ -26,9 +26,8 @@ from .errors import DimensionError, FormError
 
 __all__ = [
     "PowerMonomial", "PairMonomial", "Monomial", "SeparatingSet",
-    "coordinate_order", "pair_exponents", "power_plan", "separating_set",
-    "is_invariant_monomial", "is_homogeneous",
-    "separating_set_to_json",
+    "coordinate_order", "pair_exponents", "separating_set",
+    "is_invariant_monomial", "is_homogeneous", "separating_set_to_json",
 ]
 
 
@@ -38,8 +37,6 @@ class PowerMonomial:
 
     i: int
     exp: int
-
-    kind = "single"
 
     def as_dict(self) -> dict:
         return {"kind": "single", "i": self.i, "exp": self.exp}
@@ -53,13 +50,6 @@ class PairMonomial:
     k: int
     a: int
     b: int
-
-    kind = "pair"
-
-    @property
-    def degenerate(self) -> bool:
-        """True when b = 0, i.e. the pair collapses to a pure power of x_j."""
-        return self.b == 0
 
     def as_dict(self) -> dict:
         return {"kind": "pair", "j": self.j, "k": self.k, "a": self.a, "b": self.b}

@@ -6,17 +6,21 @@ finite differences rather than the analytic formulas, orbit facts from
 plain per-element enumeration of the generator's definition (a cyclic shift,
 or phases exp(2*pi*i*k*e/m)) rather than the action's lookup tables,
 each sample's random stream from numpy's own SeedSequence rather than the
-suites' hash of its state, and its sphere points one at a time rather than
-the suites' whole blocks.
+suites' hash of its state, its sphere points one at a time rather than
+the suites' whole blocks, and orbit separation by the monomials from an exact
+enumeration of the phases they admit rather than from sampled pairs.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
 from .action import TRANSLATION, CyclicAction, as_signals
 from .embed import eval_gradient, eval_invariants
-from .invariants import SeparatingSet
+from .invariants import PowerMonomial, SeparatingSet
 
 # Central-difference step, and the distance under which two signals count as equal.
 FD_STEP = 1e-6
@@ -87,3 +91,35 @@ def exhaustive_orbit_distance(action: CyclicAction, x, y) -> float:
     """Quotient distance by per-element enumeration (definitional route)."""
     x = as_signals(x, action.n).reshape(action.n)  # one signal
     return min(float(np.linalg.norm(x - image)) for image in _orbit_images(action, y))
+
+
+def separation_counterexample(sset: SeparatingSet):
+    """``(S, f)``: a 0-based support S and phases f such that, for every x
+    supported on S, ``y = x * exp(2j * pi * f)`` is off the orbit of x and has
+    F(y) = F(x); None if the monomials separate every orbit.
+
+    Exact integer enumeration from the monomials and the weights alone: power
+    monomials ``x_i ** p_i`` force y = 0 off S and ``f_i = t_i / p_i`` on S; a
+    monomial that does not vanish on S holds iff its exponents times f sum to an
+    integer (times lcm(p_i), to 0 mod it), and y is in the orbit iff f is
+    ``k e_i / m`` mod 1 on S for some k. The work grows as ``prod(p_i) * 2**n``.
+    """
+    from fractions import Fraction  # here: it imports decimal, which no run needs
+    m, w = sset.action.m, sset.action.weights
+    orders = {mono.i - 1: mono.exp for mono in sset.monomials if isinstance(mono, PowerMonomial)}
+    terms = [{mono.i - 1: mono.exp} if isinstance(mono, PowerMonomial)
+             else {mono.j - 1: mono.a, mono.k - 1: mono.b} for mono in sset.monomials]
+    for size in range(1, sset.n + 1):
+        for support in itertools.combinations(range(sset.n), size):
+            p = np.array([orders[i] for i in support])
+            exps = np.array([[term.get(i, 0) for i in support]
+                             for term in terms if all(i in support for i in term if term[i])])
+            lcm = math.lcm(*p.tolist())
+            t = np.indices(p).reshape(size, -1).T
+            admitted = t[(t @ (exps % p * (lcm // p)).T % lcm == 0).all(-1)]
+            period = m // math.gcd(m, *(w[i] for i in support))  # of the group on S
+            group = {tuple(Fraction(k * w[i] % m, m) for i in support) for k in range(period)}
+            for phases in (tuple(map(Fraction, row, p.tolist())) for row in admitted.tolist()):
+                if phases not in group:
+                    return support, phases
+    return None

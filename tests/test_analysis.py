@@ -446,7 +446,7 @@ class TestLowerLipschitzSweep:
             lower_lipschitz_sweep(pipeline, self.EPSILONS)
 
     def test_epsilons_validated(self, z12_pipeline):
-        for bad in ([0.1, 0.2], [0.6, 0.1], [0.1, 0.1], [-0.1], []):
+        for bad in ([0.1, 0.2], [0.6, 0.1], [0.1, 0.1], [-0.1], [], [0.1]):
             with pytest.raises(ParameterError):
                 lower_lipschitz_sweep(z12_pipeline, bad, witness=(3, 4))
 

@@ -108,6 +108,8 @@ class TestRunConfig:
          "suites.sweep.epsilons"),
         ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.9]}}},
          "suites.sweep.epsilons"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.1]}}},
+         "suites.sweep.epsilons"),
         (dict(Z12_CONFIG, suites={"sweep": {"witness": [3, 9]}}), "suites.sweep.witness"),
         ({"action": {"form": "translation", "n": 8}, "suites": {"sweep": {"witness": [8, 1]}}},
          "suites.sweep.witness"),
@@ -719,6 +721,35 @@ class TestShippedFixtures:
             strict_json(path.read_text())
 
 
+# The package's public names; a change to this set is a change to its API.
+EXPORTS = {
+    "CyclicAction", "act", "as_signals", "dft", "idft", "make_cyclic_action",
+    "make_translation_action", "orbit", "quotient_distance", "to_fourier_domain",
+    "Monomial", "PairMonomial", "PowerMonomial", "SeparatingSet",
+    "coordinate_order", "is_homogeneous", "is_invariant_monomial",
+    "pair_exponents", "separating_set", "separating_set_to_json",
+    "LipschitzBound", "Pipeline", "Reducer", "auto_target_dim", "embed",
+    "eval_gradient", "eval_invariants", "lipschitz_bound", "make_pipeline",
+    "make_reducer", "measure", "operator_norm",
+    "SweepResult", "VerificationReport", "check_invariance",
+    "empirical_lipschitz", "find_degeneration_witness", "lower_lipschitz_sweep",
+    "nonparallel_falsification", "prime_case_report", "prime_collision_pair",
+    "prime_fourier_map", "separation_margin", "sup_norm_check", "tilde_rescale",
+    "DataError", "DimensionError", "FormError", "HypothesisError",
+    "OrbitEmbedError", "ParameterError",
+    "__version__",
+}
+
+
+def test_package_exports_the_union_of_module_lists():
+    lists = [importlib.import_module(f"orbit_embed.{name}").__all__
+             for name in ("action", "invariants", "embed", "analysis", "errors")]
+    assert orbit_embed.__all__ == [name for names in lists for name in names] + ["__version__"]
+    assert len(set(orbit_embed.__all__)) == len(orbit_embed.__all__) == 52
+    assert set(orbit_embed.__all__) == EXPORTS
+    assert isinstance(orbit_embed.embed, types.FunctionType)
+
+
 def test_every_exported_name_exists():
     modules = [orbit_embed] + [importlib.import_module(f"orbit_embed.{info.name}")
                                for info in pkgutil.iter_modules(orbit_embed.__path__)]
@@ -1197,6 +1228,16 @@ class TestSweepCommand:
         docs = [strict_json((out / name).read_text()) for name in written
                 if name.endswith(".json")]
         assert all(doc["pass"] is False for doc in docs)
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_one_epsilon_exits_2(self, tmp_path, capsys, command):
+        # one ratio has no slope: the fit warned (RankWarning) and the gate failed
+        config = self.sweep_config(tmp_path, [0.1], [3, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", config]) == 2
+        assert "suites.sweep.epsilons" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("epsilons, zero", [
         ([1e-100, 1e-200, 1e-300], "quotient distance at eps=1e-200 is 0 in float64"),

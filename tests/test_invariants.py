@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from orbit_embed import (DimensionError, FormError, PairMonomial,
                          make_translation_action, pair_exponents,
                          separating_set,
                          separating_set_to_json, to_fourier_domain)
+from orbit_embed.invariants import SeparatingSet
+from orbit_embed.oracles import exhaustive_orbit_distance, separation_counterexample
 
 from conftest import unit_vector
 
@@ -104,7 +107,7 @@ class TestSeparatingSet:
             (j, k) for j in range(1, 6) for k in range(j + 1, 6)]
 
     def test_degenerate_pairs_flagged(self, z12_set):
-        assert [(p.j, p.k) for p in z12_set.pairs if p.degenerate] == [(1, 3), (2, 3)]
+        assert [(p.j, p.k) for p in z12_set.pairs if p.b == 0] == [(1, 3), (2, 3)]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -124,6 +127,60 @@ class TestSeparatingSet:
         for k in range(z12_action.m):
             moved = eval_invariants(z12_set, act(z12_action, k, x))
             np.testing.assert_allclose(moved, base, atol=1e-10)
+
+
+# Actions whose exact separation check enumerates more than this many phase
+# vectors, prod(m_i) * 2**n, are skipped; translation n=8 needs 2**25 (0.5 s).
+SEPARATION_WORK = 2**26
+
+
+class TestSeparationTheorem:
+    """F(x) = F(y) forces y into the orbit of x, checked exactly by
+    ``oracles.separation_counterexample``."""
+
+    @staticmethod
+    def check(sset):
+        if math.prod(sset.orders) * 2**sset.n > SEPARATION_WORK:
+            pytest.skip("beyond the exact separation check's work bound")
+        return separation_counterexample(sset)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_actions_separate(self, data):
+        m = data.draw(st.integers(1, 12), label="m")
+        n = data.draw(st.integers(1, 4), label="n")
+        weights = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n),
+                            label="weights")
+        assert self.check(separating_set(make_cyclic_action(m, weights))) is None
+
+    @pytest.mark.parametrize("fixture", ["minus_identity_pipeline", "z12_pipeline",
+                                         "translation_pipeline"])
+    def test_shipped_fixture_separates(self, request, fixture):
+        assert self.check(request.getfixturevalue(fixture).sset) is None
+
+    def test_pair_replaced_by_a_power_is_detected(self, z12_action, z12_set):
+        # x_j ** m_j is invariant but redundant; the sampled separation suite
+        # passes all 8 such mutants of z12 (the other 2 pairs already are one)
+        mutants = 0
+        for index, pair in enumerate(z12_set.pairs, start=z12_set.n):
+            power = PairMonomial(pair.j, pair.k, z12_set.orders[pair.j - 1], 0)
+            if power == pair:
+                continue
+            mutants += 1
+            monomials = list(z12_set.monomials)
+            monomials[index] = power
+            mutant = SeparatingSet(z12_action, tuple(monomials))
+            support, phases = self.check(mutant)
+            assert (pair.j - 1, pair.k - 1) == support
+            # the witness: y equal to x up to phases, off x's orbit, with F(y) = F(x)
+            x = np.zeros(5, dtype=complex)
+            x[list(support)] = [0.6, 0.8j]
+            y = x.copy()
+            y[list(support)] *= np.exp(2j * np.pi * np.array(phases, dtype=float))
+            np.testing.assert_allclose(eval_invariants(mutant, y), eval_invariants(mutant, x),
+                                       atol=1e-12)
+            assert exhaustive_orbit_distance(z12_action, x, y) > 0.1
+        assert mutants == 8
 
 
 class TestPowerPlan:
