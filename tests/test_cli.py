@@ -108,8 +108,6 @@ class TestRunConfig:
          "suites.sweep.epsilons"),
         ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.9]}}},
          "suites.sweep.epsilons"),
-        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.1]}}},
-         "suites.sweep.epsilons"),
         (dict(Z12_CONFIG, suites={"sweep": {"witness": [3, 9]}}), "suites.sweep.witness"),
         ({"action": {"form": "translation", "n": 8}, "suites": {"sweep": {"witness": [8, 1]}}},
          "suites.sweep.witness"),
@@ -130,6 +128,8 @@ class TestRunConfig:
          "signals.fromat"),
         ({"action": {"form": "rotation", "m": 2, "weights": [1]}}, "action.form"),
         ({"action": {"form": "translation", "n": 8, "m": 8}}, "action.m"),
+        ({"action": {"m": 2, "weights": [1]}, "suites": {"sweep": {"epsilons": [0.1]}}},
+         "suites.sweep.epsilons"),
     ])
     def test_diagnostics_name_the_field(self, doc, fragment):
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
