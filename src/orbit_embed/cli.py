@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,8 +25,7 @@ import numpy as np
 from . import analysis, oracles
 from .action import make_cyclic_action, make_translation_action
 from .embed import Pipeline, blocks, embed, make_pipeline, operator_norm
-from .errors import (DataError, DimensionError, OrbitEmbedError, ParameterError,
-                     check_param, is_real)
+from .errors import DataError, DimensionError, OrbitEmbedError, ParameterError, check_param
 from .invariants import separating_set_to_json
 
 
@@ -227,8 +227,10 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
     JSON: an array of signals, each an array of [re, im] number pairs. CSV:
     header ``signal_id,index,re,im`` with rows grouped by signal id; each
     signal's indices must cover 0..len-1. Files are read as UTF-8 and parsed
-    locale-independently. Every signal must have the length of signal 0; a
-    file without signals gives a ``(0, 0)`` array.
+    locale-independently. A malformed file is refused with the error of its
+    first bad signal (JSON) or row (CSV); a length that differs from signal
+    0's is reported only once every signal's entries pass. A file without
+    signals gives a ``(0, 0)`` array.
     """
     if fmt not in ("json", "csv"):
         raise DataError(f"unknown signal format {fmt!r}")
@@ -239,11 +241,9 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
     if fmt == "csv":
         signals = _signals_from_csv(text, path)
     else:
-        # numpy reads true/false as 1/0, so a file naming either goes signal by signal
-        by_signal = "true" in text or "false" in text
         doc = _parse_json(text, "signal file", path, DataError)
         del text  # freed before the document is copied into an array
-        signals = _signals_from_json(doc, path, by_signal)
+        signals = _signals_from_json(doc, path)
     if not len(signals):
         warnings.warn(f"signal file {path!r} contains no signals")
     finite = np.isfinite(signals).all(axis=1)
@@ -253,48 +253,39 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
 
 
 def _stack_signals(signals: list) -> np.ndarray:
-    # 1-d signals of one common length -> one complex (S, n) array, (0, 0) for none
+    # signals of [re, im] float pairs, each as long as signal 0 -> one complex
+    # (S, n) array holding those floats' bits, (0, 0) for none
     width = len(signals[0]) if signals else 0
     for idx, sig in enumerate(signals):
         if len(sig) != width:
             raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
-    return np.array(signals, dtype=np.complex128).reshape(len(signals), width)
+    pairs = np.array(signals, dtype=np.float64).reshape(len(signals), width, 2)
+    return pairs.view(np.complex128)[..., 0]
 
 
-def _complex_pairs(pairs) -> np.ndarray:
-    # float [re, im] pairs along the last axis -> complex values, bit-exact
-    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
-
-
-def _signals_from_json(doc, path: str, by_signal: bool) -> np.ndarray:
-    # doc: the parsed file; by_signal: skip the one-array fast path
+def _signals_from_json(doc, path: str) -> np.ndarray:
+    # doc: the parsed file. Each signal, in index order, must hold [re, im] pairs of
+    # numbers: values of type int or float (json.loads gives true and false as
+    # bool), an int only if it fits a float.
     if not isinstance(doc, list):
         raise DataError(f"{path}: top level must be an array of signals")
-    try:
-        pairs = None if by_signal else np.array(doc)
-    except (ValueError, OverflowError):
-        pairs = None  # ragged or malformed: checked signal by signal below
-    if (pairs is not None and pairs.dtype.kind in "iuf" and pairs.ndim == 3
-            and pairs.shape[2] == 2):
-        return _complex_pairs(pairs)
-    return _stack_signals([_signal_from_json(row, idx, path) for idx, row in enumerate(doc)])
-
-
-def _signal_from_json(row, idx: int, path: str) -> np.ndarray:
-    if not isinstance(row, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(map(is_real, pair)) for pair in row):
-        raise DataError(f"{path}: signal {idx} must be an array of [re, im] number pairs")
-    try:
-        pairs = np.array(row, dtype=np.float64).reshape(-1, 2)
-    except OverflowError as exc:
-        raise DataError(f"{path}: signal {idx} has a number too large for a float") from exc
-    return _complex_pairs(pairs)
+    for idx, row in enumerate(doc):
+        if not (isinstance(row, list)
+                and all(type(pair) is list and len(pair) == 2 for pair in row)
+                and (types := set(map(type, chain.from_iterable(row)))) <= {int, float}):
+            raise DataError(f"{path}: signal {idx} must be an array of [re, im] number pairs")
+        if int in types:
+            try:
+                for value in chain.from_iterable(row):
+                    float(value)
+            except OverflowError as exc:
+                raise DataError(f"{path}: signal {idx} has a number too large for a float") from exc
+    return _stack_signals(doc)
 
 
 def _signals_from_csv(text: str, path: str) -> np.ndarray:
     reader = csv.reader(text.splitlines())
-    groups: dict[str, dict[int, complex]] = {}
+    groups: dict[str, dict[int, tuple[float, float]]] = {}
     try:
         if [h.strip() for h in next(reader, [])] != ["signal_id", "index", "re", "im"]:
             raise DataError(f"{path}: CSV header must be signal_id,index,re,im")
@@ -306,7 +297,7 @@ def _signals_from_csv(text: str, path: str) -> np.ndarray:
             sid = row[0]
             try:
                 index = int(row[1])
-                value = complex(float(row[2]), float(row[3]))
+                value = (float(row[2]), float(row[3]))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
             entries = groups.setdefault(sid, {})

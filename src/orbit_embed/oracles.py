@@ -22,9 +22,9 @@ from .action import TRANSLATION, CyclicAction, as_signals
 from .embed import eval_gradient, eval_invariants
 from .invariants import PowerMonomial, SeparatingSet
 
-# Central-difference step, and the distance under which two signals count as equal.
+# Central-difference step; the orbit distance under which same_orbit calls signals equal.
 FD_STEP = 1e-6
-SAME_ORBIT_TOL = 1e-9
+ORBIT_DISTANCE_TOL = 1e-9
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -84,7 +84,7 @@ def _orbit_images(action: CyclicAction, y):
 
 def same_orbit(action: CyclicAction, x, y) -> bool:
     """Exhaustively test whether some group element maps y onto x."""
-    return exhaustive_orbit_distance(action, x, y) <= SAME_ORBIT_TOL
+    return exhaustive_orbit_distance(action, x, y) <= ORBIT_DISTANCE_TOL
 
 
 def exhaustive_orbit_distance(action: CyclicAction, x, y) -> float:

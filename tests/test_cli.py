@@ -23,7 +23,7 @@ from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
 from orbit_embed.embed import blocks, embed
-from orbit_embed.errors import DataError, DimensionError, ParameterError
+from orbit_embed.errors import DataError, DimensionError, ParameterError, is_real
 
 from conftest import oracle_draw
 
@@ -1116,6 +1116,116 @@ class TestCsvReader:
     def test_edge_files(self, text):
         new, old = self.both(text)
         assert new == old
+
+
+def per_signal_json_signals(text, path):
+    """The JSON format's definition, one signal at a time: the signals as an
+    array, or the DataError of the first bad signal. A number is what
+    ``errors.is_real`` accepts of what ``json.loads`` returns."""
+    if not text.strip():
+        return np.zeros((0, 0), dtype=np.complex128)
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"signal file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise DataError(f"{path}: top level must be an array of signals")
+    signals = []
+    for idx, row in enumerate(doc):
+        if not isinstance(row, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 and all(map(is_real, pair))
+                for pair in row):
+            raise DataError(f"{path}: signal {idx} must be an array of [re, im] number pairs")
+        try:
+            signals.append([complex(float(re), float(im)) for re, im in row])
+        except OverflowError as exc:
+            raise DataError(f"{path}: signal {idx} has a number too large for a float") from exc
+    width = len(signals[0]) if signals else 0
+    for idx, sig in enumerate(signals):
+        if len(sig) != width:
+            raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
+    array = np.array(signals, dtype=np.complex128).reshape(len(signals), width)
+    finite = np.isfinite(array).all(axis=1)
+    if not finite.all():
+        raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values")
+    return array
+
+
+def near_json_texts():
+    """JSON texts with every kind of fault the format names: strings, null,
+    booleans and nested arrays for numbers, ints near and past the float range,
+    non-finite floats, pairs of 0-3 entries, signals of unequal or zero length,
+    a top level that is not an array, and texts that are not JSON."""
+    fits = (st.floats(-1e3, 1e3) | st.integers(-5, 5) | st.integers(2**63, 2**66)
+            | st.integers(-2**66, -2**63) | st.sampled_from(
+                [2**1024 - 2**971, -(2**1024 - 2**971), 2**53 + 1, 1e308, 5e-324, -0.0]))
+    unfit = st.sampled_from([2**1024 - 2**970, -(2**1024 - 2**970), 10**400, float("nan"),
+                             float("inf")])
+    odd = st.sampled_from([None, True, False, "1", [], {}, [1.0]])
+    pair = st.lists(fits, min_size=2, max_size=2)
+    near_pair = (st.lists(fits | unfit, min_size=2, max_size=2)
+                 | st.lists(fits | unfit | odd, max_size=3) | odd)
+    bad_signal = st.lists(pair | near_pair, max_size=4) | odd
+    docs = st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(pair, min_size=n, max_size=n), max_size=5) | st.lists(
+        st.lists(pair, min_size=n, max_size=n) | bad_signal, max_size=5))
+    texts = st.sampled_from(["", " \n", "[", "[[[1, 0]]", "nan", "[" * 100_000, "{}"])
+    return (docs | odd).map(json.dumps) | texts
+
+
+class TestJsonReader:
+    """``load_signals`` reads a JSON file as the format's definition,
+    ``per_signal_json_signals``, does: bit for bit, or with its error message.
+    The definition is written here, apart from the reader it checks."""
+
+    @staticmethod
+    def both(tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text, encoding="utf-8")
+        outcomes = []
+        for read in (load_signals, lambda name: per_signal_json_signals(text, name)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # files without signals
+                    array = read(str(path))
+                outcomes.append((array.dtype, array.shape, array.tobytes()))
+            except DataError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @given(text=near_json_texts())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_faulty_files(self, tmp_path, text):
+        new, old = self.both(tmp_path, text)
+        assert new == old
+
+    @pytest.mark.parametrize("text, expected", [
+        ('[[[1, 0]], [[0, 1], [2, 0]], [["x", 0]]]',
+         "signal 2 must be an array of [re, im] number pairs"),
+        (f'[[[{2**1024 - 2**970}, 0]], [["1", 0]]]',
+         "signal 0 has a number too large for a float"),
+        (f'[[["1", 0]], [[{2**1024 - 2**970}, 0]]]',
+         "signal 0 must be an array of [re, im] number pairs"),
+        (f'[[[{2**1024 - 2**970}, "1"]]]', "signal 0 must be an array of [re, im] number pairs"),
+        ("[[[NaN, 0]], [[1, 0], [2, 0]]]", "signal 1 has length 2, signal 0 has length 1"),
+        ("[[], [[1, 0]]]", "signal 1 has length 1, signal 0 has length 0"),
+        ("[[[1, 0]], [[1e400, 0]]]", "signal 1 contains non-finite values"),
+        ("[[[false, 0]]]", "signal 0 must be an array of [re, im] number pairs"),
+        ("[]", (0, 0)),
+        ("[[], []]", (2, 0)),
+        (f"[[[{2**1024 - 2**971}, {2**63}]]]", (1, 1)),
+    ], ids=["malformed-after-ragged", "overflow-before-string", "string-before-overflow",
+            "string-beside-overflow", "ragged-before-non-finite", "zero-length-first",
+            "huge-float-is-non-finite", "false", "no-signals", "zero-length-signals",
+            "largest-ints"])
+    def test_precedence(self, tmp_path, text, expected):
+        new, old = self.both(tmp_path, text)
+        assert new == old
+        if isinstance(expected, str):
+            assert new.endswith(f": {expected}") or new == expected
+        else:
+            assert new[1] == expected
 
 
 def config_documents():
