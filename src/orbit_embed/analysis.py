@@ -8,10 +8,14 @@ independent complex Gaussian coordinates (uniform on the unit sphere;
 so a report is a pure function of (pipeline, seed, samples). Each suite states
 what one sample draws (``_Draw``). ``_draw_blocks`` hashes the states of the
 streams per chunk of indices, sets one generator to each sample's state, and
-makes one draw call per kind of draw and point into block buffers, without a
-SeedSequence or Generator per sample; it then normalizes and scales the whole
-block at once, each row's norm still the strided BLAS dot of one point, so
-every point keeps the bits of ``oracles.sphere_point``. Samples are drawn and
+makes one draw call per kind of draw into block buffers, without a
+SeedSequence or Generator per sample: one ``random`` call for the scale
+exponents, one ``standard_normal`` call for the normals of all the sample's
+points (the ziggurat reads the same words as one call per point), one
+``integers`` call for the group element. It then maps the exponents to
+[-3, 3) as ``uniform`` does (``-3 + 6 * u``), and normalizes and scales the
+whole block at once, each row's norm still the strided BLAS dot of one point,
+so every point keeps the bits of ``oracles.sphere_point``. Samples are drawn and
 evaluated in blocks, so a suite's memory does not grow with its sample count;
 a reported worst case is the first sample, in index order, that attains it.
 
@@ -177,33 +181,39 @@ def _draw_blocks(seed: int, samples: int, width: int, draw: _Draw):
 
 def _draw_block(rng: np.random.Generator, states, size: int, draw: _Draw) -> tuple:
     """The points and group elements of the next ``size`` samples of ``states``:
-    per sample, one generator call per draw into block buffers; then the block
-    is normalized and scaled at once. A function of its own, so that its buffers
-    are freed before the suite evaluates the block (held, they raised the peak
-    RSS of an n=64 ``verify`` by about 0.3 MiB)."""
+    per sample, one generator call per kind of draw into block buffers, one
+    ``standard_normal`` call for the normals of all its points; then the block
+    is mapped, normalized and scaled at once. A function of its own, so that its
+    buffers are freed before the suite evaluates the block (held, they raised the
+    peak RSS of an n=64 ``verify`` by about 0.3 MiB)."""
     n, points, order = draw.n, draw.points, draw.order
     bit_generator = rng.bit_generator
-    normals = np.empty((points, size, 2 * n))
+    normals = np.empty((size, points, 2 * n))
     exponents = np.empty((size, points))
     elements = np.zeros(size, dtype=np.int64)
-    for i, (state, inc) in zip(range(size), states):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    stream = state["state"]
+    for i, (stream["state"], stream["inc"]) in zip(range(size), states):
+        bit_generator.state = state
         if draw.scaled:
-            exponents[i] = rng.uniform(-3.0, 3.0, size=points)
-        for j in range(points):
-            # the ziggurat reads the same words for one call of 2n as for two of n
-            rng.standard_normal(out=normals[j, i])
+            # uniform(-3, 3) is -3 + 6 * random(), mapped below for the block
+            rng.random(out=exponents[i])
+        # the ziggurat reads the same words for one call of points * 2n as for
+        # 2 * points calls of n
+        rng.standard_normal(out=normals[i])
         if order > 1:
             elements[i] = rng.integers(1, order)
-    z = normals[..., :n] + 1j * normals[..., n:]
+    # re + 1j * im, built in place as a C-contiguous (points, size, n) array
+    normals = normals.swapaxes(0, 1)
+    z = np.multiply(1j, normals[..., n:], order="C")
+    z += normals[..., :n]
     # the squared norm of each row is the strided BLAS dot of one point's real
     # and imaginary parts (np.linalg.norm's), which a vector-by-vector matmul
     # calls; an elementwise sum rounds differently
     re, im = z.real[..., None, :], z.imag[..., None, :]
     z = z / np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
     if draw.scaled:
-        z = (10.0 ** exponents).T[:, :, None] * z
+        z = (10.0 ** (-3.0 + 6.0 * exponents)).T[:, :, None] * z
     return (*z, elements) if order else tuple(z)
 
 

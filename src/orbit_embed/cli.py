@@ -248,7 +248,9 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
         warnings.warn(f"signal file {path!r} contains no signals")
     finite = np.isfinite(signals).all(axis=1)
     if not finite.all():
-        raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values")
+        # json.loads and float() read a literal too large for a float as infinity
+        raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values "
+                        "(NaN, Infinity, or a number too large for a float)")
     return signals
 
 

@@ -650,6 +650,30 @@ class TestSampleStreams:
     def test_draws_match_the_oracle(self, seed, samples, width, draw):
         self.assert_blocks_match_the_oracle(seed, samples, width, draw)
 
+    # the two numpy facts that let _draw_block make one call per sample for
+    # each kind of draw; a numpy that breaks one fails here by name
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_uniform_is_the_affine_map_of_random(self, seed):
+        # uniform(low, high) is low + (high - low) * random(), rounded in that order
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = rng.uniform(-3.0, 3.0, size=200_000)
+        assert (-3.0 + 6.0 * twin.random(200_000)).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_one_normal_call_reads_the_words_of_one_call_per_point(self, seed, n):
+        # the ziggurat keeps no state between values, so one call of points * 2n
+        # normals reads the same words as points calls of 2n (its rare slow
+        # path, which reads more words, is hit too at these counts)
+        points = 4_000 // n
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = np.empty((points, 2 * n))
+        rng.standard_normal(out=whole)
+        per_point = [twin.standard_normal(2 * n) for _ in range(points)]
+        assert whole.tobytes() == np.concatenate(per_point).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_sphere_point_keeps_the_two_call_bits(self):
         # one normal call of 2n per point, then a block-wide norm, division and
         # scale, with the bits of two calls of n and np.linalg.norm per point:

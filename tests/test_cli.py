@@ -204,6 +204,16 @@ class TestSignalIO:
         with pytest.raises(DataError, match="signal 0"):
             load_signals(str(path), "csv")
 
+    # float() reads a field too large for a float as infinity, so the message names it
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "-1e400"])
+    def test_non_finite_csv_message(self, tmp_path, value):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"signal_id,index,re,im\n0,0,1,0\n1,0,{value},0\n")
+        with pytest.raises(DataError) as info:
+            load_signals(str(path), "csv")
+        assert str(info.value) == ("signal 1 contains non-finite values "
+                                   "(NaN, Infinity, or a number too large for a float)")
+
     def test_ragged_csv_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("signal_id,index,re,im\n0,0,1,0\n0,2,1,0\n")
@@ -401,17 +411,20 @@ class TestSaveSignalsBlocks:
         assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_memory_does_not_grow_with_signals(self, tmp_path, rng, fmt):
-        signals = rng.standard_normal((20_000, 17)) + 1j * rng.standard_normal((20_000, 17))
+    def test_memory_does_not_grow_with_signals(self, tmp_path, monkeypatch, rng, fmt):
+        # blocks a quarter of the shipped size (240 rows of 17 values), so that
+        # S = 500 spans blocks and the run stays short
+        monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 64 * 1024)
+        signals = rng.standard_normal((5_000, 17)) + 1j * rng.standard_normal((5_000, 17))
         path = str(tmp_path / f"out.{fmt}")
         # fills CPython's free lists, which a full collection would empty, so
         # none may run before the measured writes are done
-        save_signals(path, signals[:2_000], fmt)
+        save_signals(path, signals[:500], fmt)
         peaks = []
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for S in (2_000, 20_000):
+            for S in (500, 5_000):
                 tracemalloc.start()
                 try:
                     save_signals(path, signals[:S], fmt)
@@ -1147,7 +1160,8 @@ def per_signal_json_signals(text, path):
     array = np.array(signals, dtype=np.complex128).reshape(len(signals), width)
     finite = np.isfinite(array).all(axis=1)
     if not finite.all():
-        raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values")
+        raise DataError(f"signal {int(np.argmin(finite))} contains non-finite values "
+                        "(NaN, Infinity, or a number too large for a float)")
     return array
 
 
@@ -1210,7 +1224,8 @@ class TestJsonReader:
         (f'[[[{2**1024 - 2**970}, "1"]]]', "signal 0 must be an array of [re, im] number pairs"),
         ("[[[NaN, 0]], [[1, 0], [2, 0]]]", "signal 1 has length 2, signal 0 has length 1"),
         ("[[], [[1, 0]]]", "signal 1 has length 1, signal 0 has length 0"),
-        ("[[[1, 0]], [[1e400, 0]]]", "signal 1 contains non-finite values"),
+        ("[[[1, 0]], [[1e400, 0]]]", "signal 1 contains non-finite values "
+         "(NaN, Infinity, or a number too large for a float)"),
         ("[[[false, 0]]]", "signal 0 must be an array of [re, im] number pairs"),
         ("[]", (0, 0)),
         ("[[], []]", (2, 0)),
