@@ -129,9 +129,7 @@ def act(action: CyclicAction, k, x) -> np.ndarray:
     if np.ndim(k) and k.shape != x.shape[:-1]:
         raise DimensionError(f"got {k.size} powers for signals of shape {x.shape}")
     if action.form == TRANSLATION:
-        if np.ndim(k):
-            return np.take_along_axis(x, action._shifts[k], axis=-1)
-        return x[..., action._shifts[k]]
+        return np.take_along_axis(x, np.broadcast_to(action._shifts[k], x.shape), axis=-1)
     return action._phases[k] * x
 
 

@@ -17,7 +17,10 @@ points (the ziggurat reads the same words as one call per point), one
 whole block at once, each row's norm still the strided BLAS dot of one point,
 so every point keeps the bits of ``oracles.sphere_point``. Samples are drawn and
 evaluated in blocks, so a suite's memory does not grow with its sample count;
-a reported worst case is the first sample, in index order, that attains it.
+a reported worst case is the first sample, in index order, that attains it. The pair
+suites share one loop, ``_pairs``, that yields each block's draws, quotient distances d
+and indices with d at or past a cutoff, never Phi or H values; its blocks also count the
+m scores per pair of ``quotient_distance``, so their memory does not grow with m either.
 
 ``check_invariance`` and ``separation_margin`` read one orbit pass: Phi over
 the full orbit of each sample's first sphere point, of which only two running
@@ -267,6 +270,20 @@ def _embedding_orbit_pass(pipeline: Pipeline, samples: int, seed: int, passes: d
     return passes[seed, samples]
 
 
+def _pairs(pipeline: Pipeline, samples: int, seed: int, cutoff: float, draw: _Draw):
+    """Per block of pairs of ``draw``: ``(start, x, y[, k], d, kept)``, kept the d >= cutoff."""
+    action = pipeline.action
+    width = max((3 if draw.order else 2) * max(action.n, pipeline.target_dim), action.m)
+    for start, x, y, *k in _draw_blocks(seed, samples, width, draw):
+        d = quotient_distance(action, x, y)
+        yield (start, x, y, *k, d, np.flatnonzero(d >= cutoff))
+
+
+def _embedding_gaps(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, rows: np.ndarray):
+    """``||Phi(x) - Phi(y)||`` of the pairs at ``rows``."""
+    return np.linalg.norm(embed(pipeline, x[rows]) - embed(pipeline, y[rows]), axis=-1)
+
+
 def _parallel_fit(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per row with ``||h||^2 != 0`` (the mask ``ok``), the best positive multiple
     ``lambda* = max(Re<h, g>, 0) / ||h||^2`` and the residual ``||g - lambda* h||``."""
@@ -308,18 +325,12 @@ def separation_margin(pipeline: Pipeline, samples: int, delta: float,
     caller keeps for this pipeline (see the module docstring).
     """
     check_param(delta=delta, samples=samples, seed=seed)
-    action = pipeline.action
-    n = action.n
     _, leakage = _embedding_orbit_pass(pipeline, samples, seed, passes)
     worst = _Worst("margin", largest=False)
     qualifying = 0
-    for start, x, y in _draw_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
-                                    _Draw(n, 2)):
-        d = quotient_distance(action, x, y)
-        far = np.flatnonzero(d >= delta)
-        gaps = np.linalg.norm(embed(pipeline, x[far]) - embed(pipeline, y[far]), axis=-1)
+    for start, x, y, d, far in _pairs(pipeline, samples, seed, delta, _Draw(pipeline.action.n, 2)):
         qualifying += len(far)
-        worst.offer(gaps, start + far, quotient_distance=d[far])
+        worst.offer(_embedding_gaps(pipeline, x, y, far), start + far, quotient_distance=d[far])
     margin = worst.value if qualifying else 0.0
     passed = (qualifying > 0 and leakage <= SAME_ORBIT_TOL
               and margin > 0.0 and margin > SEPARATION_HEADROOM * leakage)
@@ -339,20 +350,15 @@ def empirical_lipschitz(pipeline: Pipeline, samples: int, seed: int = 0) -> Veri
     observed maximum is also the empirical Lipschitz estimate.
     """
     check_param(samples=samples, seed=seed)
-    action = pipeline.action
-    n = action.n
     bound = lipschitz_bound(pipeline)
     threshold = bound.bound * (1.0 + 1e-9)
     worst = _Worst("ratio", largest=True)
     excluded = 0
-    for start, x, y in _draw_blocks(seed, samples, 2 * max(n, pipeline.target_dim),
-                                    _Draw(n, 2, scaled=True)):
-        d = quotient_distance(action, x, y)
-        kept = np.flatnonzero(d >= RATIO_EXCLUSION)
+    for start, x, y, d, kept in _pairs(pipeline, samples, seed, RATIO_EXCLUSION,
+                                       _Draw(pipeline.action.n, 2, scaled=True)):
         excluded += len(d) - len(kept)
-        ratios = np.linalg.norm(embed(pipeline, x[kept]) - embed(pipeline, y[kept]),
-                                axis=-1) / d[kept]
-        worst.offer(ratios, start + kept, quotient_distance=d[kept])
+        worst.offer(_embedding_gaps(pipeline, x, y, kept) / d[kept], start + kept,
+                    quotient_distance=d[kept])
     return VerificationReport(
         suite="lipschitz", samples=samples, seed=seed,
         statistic=worst.value, threshold=threshold, passed=worst.value <= threshold,
@@ -373,17 +379,13 @@ def nonparallel_falsification(pipeline: Pipeline, samples: int, delta: float,
     """
     check_param(delta=delta, samples=samples, seed=seed)
     action = pipeline.action
-    n, m = action.n, action.m
     worst = _Worst("residual", largest=False)
-    qualifying = 0
-    zero_image = 0
-    lam_err = 0.0
-    same_resid = 0.0
+    qualifying = zero_image = 0
+    lam_err = same_resid = 0.0
     # the pair, then the group element of the same-orbit pair (x, T^k x)
-    for start, x, y, k in _draw_blocks(seed, samples, 3 * max(n, pipeline.target_dim),
-                                       _Draw(n, 2, order=m)):
+    for start, x, y, k, _, far in _pairs(pipeline, samples, seed, delta,
+                                         _Draw(action.n, 2, order=action.m)):
         hx, hy = measure(pipeline, x), measure(pipeline, y)
-        far = np.flatnonzero(quotient_distance(action, x, y) >= delta)
         ok, lam, resid = _parallel_fit(hy[far], hx[far])
         zero_image += int(np.sum(~ok))
         qualifying += len(lam)

@@ -22,6 +22,7 @@ from orbit_embed import (HypothesisError, OrbitEmbedError, ParameterError, act,
                          separation_margin, sup_norm_check, tilde_rescale)
 from orbit_embed import analysis
 from orbit_embed.analysis import _Draw
+from orbit_embed.embed import BLOCK_BYTES
 from orbit_embed.oracles import sample_rng, sphere_point
 
 from conftest import oracle_draw, unit_vector
@@ -718,3 +719,25 @@ def test_memory_does_not_grow_with_samples(z12_pipeline, monkeypatch, suite):
         if enabled:
             gc.enable()
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("suite", ["separation", "lipschitz", "nonparallel"])
+def test_pair_blocks_count_the_group_order(suite):
+    # quotient_distance scores all m group elements of every pair, so the pair
+    # blocks must count m: blocks sized by their rows alone would hold all 300
+    # pairs here, with (300, 2000) scores, about 14.4 MB (55 BLOCK_BYTES)
+    pipeline = make_pipeline(make_cyclic_action(2000, [1, 3]), seed=42)
+    passes = {}
+    run = {"separation": lambda: separation_margin(pipeline, 300, 0.1, seed=7, passes=passes),
+           "lipschitz": lambda: empirical_lipschitz(pipeline, 300, seed=7),
+           "nonparallel": lambda: nonparallel_falsification(pipeline, 300, 0.1, seed=7)}[suite]
+    # builds the cached tables and, for separation, the orbit pass it then reads
+    # from passes, so that only the pair loop is traced
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * BLOCK_BYTES, peak
