@@ -39,6 +39,8 @@ _CANDIDATE_SLACK = 1e-9
 # below it squared entries are subnormal, above it exact norms can overflow.
 # Rows outside it, or with a non-finite score, recompute every k.
 _SCORED_SCALE = (1e-250, 1e250)
+# Bytes of the largest temporary array of a batch evaluation: rows go in blocks of this size.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,17 @@ def _powers(action: CyclicAction) -> np.ndarray:
     return np.arange(m).reshape(-1, 1)
 
 
+def block_rows(width: int) -> int:
+    """Rows of ``width`` complex values in one BLOCK_BYTES block, at least one."""
+    return max(1, BLOCK_BYTES // (16 * width))
+
+
+def blocks(count: int, width: int):
+    """Slices of ``range(count)`` of about BLOCK_BYTES of ``width``-value complex rows."""
+    step = block_rows(width)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 def act(action: CyclicAction, k, x) -> np.ndarray:
     """Apply the k-th power of the generator to a signal, or to a batch
     ``(S, n)`` with one k for all rows or an ``(S,)`` array of them.
@@ -154,7 +167,9 @@ def quotient_distance(action: CyclicAction, x, y):
     ``min(||T^k y - x||, ||T^-k x - y||)``, so the result is the same float
     as enumerating every k in both orientations: symmetric in its arguments
     even at float precision, and free of the score's cancellation when the
-    distance is small against the norms.
+    distance is small against the norms. Rows are scored one :func:`blocks` block of max(n, m)
+    values at a time, so memory does not grow with S; a block of rows that enumerate every k
+    (scale outside ``_SCORED_SCALE``, or a non-finite score) holds about min(m, n) BLOCK_BYTES.
     """
     n = action.n
     x = as_signals(x, n)
@@ -163,18 +178,22 @@ def quotient_distance(action: CyclicAction, x, y):
         raise DimensionError(f"cannot pair {len(x)} signals with {len(y)}")
     shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
     x, y = (np.broadcast_to(a, shape + (n,)).reshape(-1, n) for a in (x, y))
-    u, v = (dft(x), dft(y)) if action.form == TRANSLATION else (x, y)
-    with np.errstate(all="ignore"):  # non-finite scores mark rows to enumerate
-        scale = (u.conj() * u).real.sum(-1) + (v.conj() * v).real.sum(-1)
-        score = scale[:, None] - 2.0 * ((u.conj() * v) @ action._phases.T).real
-        near = score <= score.min(-1, keepdims=True) + _CANDIDATE_SLACK * scale[:, None]
-    scored = np.isfinite(score).all(-1) & (_SCORED_SCALE[0] <= scale) & (scale <= _SCORED_SCALE[1])
-    rows, k = np.nonzero(near | ~scored[:, None])
-    exact = np.minimum(np.linalg.norm(act(action, k, y[rows]) - x[rows], axis=-1),
-                       np.linalg.norm(act(action, -k, x[rows]) - y[rows], axis=-1))
-    # every row keeps at least its smallest score, so each row starts one run
-    first = np.flatnonzero(np.diff(rows, prepend=-1))
-    return np.minimum.reduceat(exact, first).reshape(shape)[()]
+    out = np.empty(len(x))
+    for block in blocks(len(x), max(n, action.m)):  # the (rows, m) scores of one block
+        xb, yb = x[block], y[block]
+        u, v = (dft(xb), dft(yb)) if action.form == TRANSLATION else (xb, yb)
+        with np.errstate(all="ignore"):  # non-finite scores mark rows to enumerate
+            scale = (u.conj() * u).real.sum(-1) + (v.conj() * v).real.sum(-1)
+            score = scale[:, None] - 2.0 * ((u.conj() * v) @ action._phases.T).real
+            near = score <= score.min(-1, keepdims=True) + _CANDIDATE_SLACK * scale[:, None]
+        scored = (np.isfinite(score).all(-1) & (_SCORED_SCALE[0] <= scale)
+                  & (scale <= _SCORED_SCALE[1]))
+        rows, k = np.nonzero(near | ~scored[:, None])
+        exact = np.minimum(np.linalg.norm(act(action, k, yb[rows]) - xb[rows], axis=-1),
+                           np.linalg.norm(act(action, -k, xb[rows]) - yb[rows], axis=-1))
+        # every row keeps at least its smallest score, so each row starts one run
+        out[block] = np.minimum.reduceat(exact, np.flatnonzero(np.diff(rows, prepend=-1)))
+    return out.reshape(shape)[()]
 
 
 def dft(x) -> np.ndarray:

@@ -19,8 +19,8 @@ so every point keeps the bits of ``oracles.sphere_point``. Samples are drawn and
 evaluated in blocks, so a suite's memory does not grow with its sample count;
 a reported worst case is the first sample, in index order, that attains it. The pair
 suites share one loop, ``_pairs``, that yields each block's draws, quotient distances d
-and indices with d at or past a cutoff, never Phi or H values; its blocks also count the
-m scores per pair of ``quotient_distance``, so their memory does not grow with m either.
+and indices with d at or past a cutoff, never Phi or H values; ``quotient_distance``
+scores the m group elements one block of pairs at a time, so memory does not grow with m.
 
 ``check_invariance`` and ``separation_margin`` read one orbit pass: Phi over
 the full orbit of each sample's first sphere point, of which only two running
@@ -41,9 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .action import CyclicAction, act, as_signals, make_cyclic_action, orbit, quotient_distance
-from .embed import (Pipeline, blocks, embed, embed_monomial_domain,
-                    eval_invariants, eval_partials, lipschitz_bound, measure)
+from .action import (CyclicAction, act, as_signals, blocks, make_cyclic_action, orbit,
+                     quotient_distance)
+from .embed import (Pipeline, embed, embed_monomial_domain, eval_invariants, eval_partials,
+                    lipschitz_bound, measure)
 from .errors import HypothesisError, ParameterError, check_param, is_int, is_prime
 from .invariants import PairMonomial, SeparatingSet
 
@@ -171,7 +172,7 @@ class _Draw(NamedTuple):
 
 
 def _draw_blocks(seed: int, samples: int, width: int, draw: _Draw):
-    """Per block of samples of ``width`` complex values (``embed.blocks``), yield its
+    """Per block of samples of ``width`` complex values (``action.blocks``), yield its
     first index, one ``(S, n)`` array per point of ``draw``, and, if ``draw.order``,
     the ``(S,)`` group elements. Sample i draws from its own stream
     ``default_rng(SeedSequence(seed, spawn_key=(i,)))`` (``oracles.sample_rng``):
@@ -271,9 +272,9 @@ def _embedding_orbit_pass(pipeline: Pipeline, samples: int, seed: int, passes: d
 
 
 def _pairs(pipeline: Pipeline, samples: int, seed: int, cutoff: float, draw: _Draw):
-    """Per block of pairs of ``draw``: ``(start, x, y[, k], d, kept)``, kept the d >= cutoff."""
+    """Per block of ``draw``'s pair rows: ``(start, x, y[, k], d, kept)``, kept the d >= cutoff."""
     action = pipeline.action
-    width = max((3 if draw.order else 2) * max(action.n, pipeline.target_dim), action.m)
+    width = (3 if draw.order else 2) * max(action.n, pipeline.target_dim)
     for start, x, y, *k in _draw_blocks(seed, samples, width, draw):
         d = quotient_distance(action, x, y)
         yield (start, x, y, *k, d, np.flatnonzero(d >= cutoff))

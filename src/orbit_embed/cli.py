@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, oracles
-from .action import make_cyclic_action, make_translation_action
-from .embed import Pipeline, blocks, embed, make_pipeline, operator_norm
+from .action import blocks, make_cyclic_action, make_translation_action
+from .embed import Pipeline, embed, make_pipeline, operator_norm
 from .errors import DataError, DimensionError, OrbitEmbedError, ParameterError, check_param
 from .invariants import separating_set_to_json
 
@@ -322,7 +322,7 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
 
     ``signals`` is a batch ``(S, n)`` or one signal ``(n,)``, written as a file
     of one signal; other shapes raise DimensionError. The file is formatted and
-    written one :func:`embed.blocks` block of rows at a time: a block's floats
+    written one :func:`action.blocks` block of rows at a time: a block's floats
     are formatted in one C-level call and laid out by a template of its rows, so
     memory does not grow with S. A write that fails removes the partial file.
     """

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import TRANSLATION, CyclicAction, as_signals, dft, to_fourier_domain
+from .action import (TRANSLATION, CyclicAction, as_signals, block_rows, blocks, dft,
+                     to_fourier_domain)
 from .errors import DataError, DimensionError, ParameterError, check_param, is_int
 from .invariants import SeparatingSet, is_homogeneous, separating_set
 
@@ -29,10 +30,7 @@ __all__ = [
     "make_pipeline", "auto_target_dim", "measure", "embed", "lipschitz_bound",
 ]
 
-# Byte size of the largest temporary array of a batch evaluation: rows, and the
-# suites' samples, go in blocks of this size, so memory does not grow with S.
-BLOCK_BYTES = 256 * 1024
-# Rows of one reducer product when a BLOCK_BYTES block holds fewer: smaller
+# Rows of one reducer product when an action.BLOCK_BYTES block holds fewer: smaller
 # gemms cost more per row. OpenBLAS gives a row the same bits in every product
 # of two or more rows; a lone row is padded to two (a one-row product is a
 # gemv, which rounds differently), so no row's bits depend on its batch.
@@ -118,12 +116,6 @@ def operator_norm(reducer) -> float:
 
 
 # --- evaluation of the invariant map and its gradient -------------------------
-
-def blocks(count: int, width: int):
-    """Slices of ``range(count)`` of about BLOCK_BYTES of ``width``-value complex rows."""
-    step = max(1, BLOCK_BYTES // (16 * width))
-    return (slice(start, min(start + step, count)) for start in range(0, count, step))
-
 
 def _factors(plan: tuple[np.ndarray, ...], x: np.ndarray):
     # each distinct power once, with numpy's own ** so every value keeps its
@@ -232,7 +224,7 @@ def _reduce(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
     rows = u.reshape(-1, u.shape[-1])
     sset, entries = pipeline.sset, pipeline.reducer.entries
     out = np.empty((len(rows), pipeline.target_dim), dtype=np.complex128)
-    step = max(PRODUCT_ROWS, BLOCK_BYTES // (16 * sset.size))
+    step = max(PRODUCT_ROWS, block_rows(sset.size))
     for start in range(0, len(rows), step):
         part = rows[start:start + step]
         parts = [eval_invariants(sset, part[sub]) for sub in blocks(len(part), sset.size)]

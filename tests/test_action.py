@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -227,6 +228,21 @@ class TestQuotientDistance:
         for k in range(8):
             assert quotient_distance(action, x, act(action, k, y)) == d
 
+    def test_memory_does_not_grow_with_pairs(self, rng):
+        # all m = 2,000 scores of 2,000 pairs at once take about 96 MB; one
+        # block of 8 pairs takes one BLOCK_BYTES
+        action = make_cyclic_action(2000, [1, 3])
+        x, y = (rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2))
+                for _ in range(2))
+        quotient_distance(action, x, y)  # builds the cached phase table
+        tracemalloc.start()
+        try:
+            quotient_distance(action, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * action_module.BLOCK_BYTES, peak
+
     def test_orbit_shape(self, z12_action, rng):
         x = unit_vector(rng, 5)
         orb = orbit(z12_action, x)
@@ -308,6 +324,23 @@ class TestQuotientDistanceIsTheEnumeration:
                 * 10.0 ** rng.uniform(-170, -150, size=(400, 1)) for _ in range(2))
         expected = np.array([enumerated_distance(action, a, b) for a, b in zip(x, y)])
         np.testing.assert_array_equal(quotient_distance(action, x, y), expected)
+
+    @pytest.mark.parametrize("case", ["cyclic_m2000", "translation_n64"])
+    def test_equals_the_enumeration_across_blocks(self, case, monkeypatch, rng):
+        # the test above never fills a block (at m <= 39 one holds 420 rows or
+        # more); here S = 20 pairs go in blocks of 8 rows (m = 2,000), and S = 37
+        # in blocks of 5 rows (BLOCK_BYTES patched to five rows of 64 values)
+        if case == "cyclic_m2000":
+            action, S, rows = make_cyclic_action(2000, [1, 3]), 20, 8
+        else:
+            action, S, rows = make_translation_action(64), 37, 5
+            monkeypatch.setattr(action_module, "BLOCK_BYTES", 16 * 64 * 5)
+        assert next(action_module.blocks(S, max(action.n, action.m))).stop == rows
+        x, y = adversarial_pairs(action, rng, S)
+        with np.errstate(all="ignore"):  # inf - inf in the non-finite rows
+            d = quotient_distance(action, x, y)
+            expected = np.array([enumerated_distance(action, a, b) for a, b in zip(x, y)])
+        np.testing.assert_array_equal(d, expected)
 
     def test_every_kind_of_row_is_drawn(self, z12_action, rng):
         x, y = adversarial_pairs(z12_action, rng, 8)

@@ -22,7 +22,7 @@ from orbit_embed import (HypothesisError, OrbitEmbedError, ParameterError, act,
                          separation_margin, sup_norm_check, tilde_rescale)
 from orbit_embed import analysis
 from orbit_embed.analysis import _Draw
-from orbit_embed.embed import BLOCK_BYTES
+from orbit_embed.action import BLOCK_BYTES
 from orbit_embed.oracles import sample_rng, sphere_point
 
 from conftest import oracle_draw, unit_vector
@@ -698,7 +698,7 @@ SAMPLING_SUITES = {
 def test_memory_does_not_grow_with_samples(z12_pipeline, monkeypatch, suite):
     # blocks a quarter of the shipped size, so that S = 300 fills a block of
     # every suite and the run stays short
-    monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 64 * 1024)
+    monkeypatch.setattr(importlib.import_module("orbit_embed.action"), "BLOCK_BYTES", 64 * 1024)
     run = SAMPLING_SUITES[suite]
     # builds the cached tables and fills CPython's free lists, which hold up to
     # 2,000 freed tuples of each size; a full collection empties them, so none
@@ -723,9 +723,10 @@ def test_memory_does_not_grow_with_samples(z12_pipeline, monkeypatch, suite):
 
 @pytest.mark.parametrize("suite", ["separation", "lipschitz", "nonparallel"])
 def test_pair_blocks_count_the_group_order(suite):
-    # quotient_distance scores all m group elements of every pair, so the pair
-    # blocks must count m: blocks sized by their rows alone would hold all 300
-    # pairs here, with (300, 2000) scores, about 14.4 MB (55 BLOCK_BYTES)
+    # quotient_distance scores all m group elements of every pair, so it must
+    # score them one block of rows at a time: the pair blocks, sized by their
+    # rows alone, hold all 300 pairs here, and (300, 2000) scores at once take
+    # about 14.4 MB (55 BLOCK_BYTES)
     pipeline = make_pipeline(make_cyclic_action(2000, [1, 3]), seed=42)
     passes = {}
     run = {"separation": lambda: separation_margin(pipeline, 300, 0.1, seed=7, passes=passes),

@@ -340,8 +340,8 @@ SAVE_ORACLES = {"json": TestSaveSignalsJson.oracle, "csv": TestSaveSignalsCsv.or
 
 
 def small_blocks(monkeypatch, n):
-    """Shrink embed.BLOCK_BYTES to four rows of 17 values; return the rows of a width-n block."""
-    monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 16 * 17 * 4)
+    """Shrink action.BLOCK_BYTES to four rows of 17 values; return the rows of a width-n block."""
+    monkeypatch.setattr(importlib.import_module("orbit_embed.action"), "BLOCK_BYTES", 16 * 17 * 4)
     return next(blocks(10**6, max(n, 1))).stop
 
 
@@ -414,7 +414,7 @@ class TestSaveSignalsBlocks:
     def test_memory_does_not_grow_with_signals(self, tmp_path, monkeypatch, rng, fmt):
         # blocks a quarter of the shipped size (240 rows of 17 values), so that
         # S = 500 spans blocks and the run stays short
-        monkeypatch.setattr(importlib.import_module("orbit_embed.embed"), "BLOCK_BYTES", 64 * 1024)
+        monkeypatch.setattr(importlib.import_module("orbit_embed.action"), "BLOCK_BYTES", 64 * 1024)
         signals = rng.standard_normal((5_000, 17)) + 1j * rng.standard_normal((5_000, 17))
         path = str(tmp_path / f"out.{fmt}")
         # fills CPython's free lists, which a full collection would empty, so

@@ -12,7 +12,8 @@ from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          make_pipeline, make_reducer, make_translation_action,
                          measure, operator_norm, separating_set,
                          to_fourier_domain)
-from orbit_embed.embed import BLOCK_BYTES, PRODUCT_ROWS, embed_monomial_domain, eval_partials
+from orbit_embed.action import BLOCK_BYTES
+from orbit_embed.embed import PRODUCT_ROWS, embed_monomial_domain, eval_partials
 from orbit_embed.oracles import (finite_difference_gradient, gradient_discrepancy,
                                  svd_operator_norm)
 

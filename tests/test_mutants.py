@@ -3,7 +3,8 @@
 Each mutant is one wrong piece of the map on the z12 fixture; the pair suites
 (separation, lipschitz, nonparallel) share one sampling loop, so these tests
 show that the loop still fails a wrong Phi where it should. A mutant that the
-pair suites do not fail is kept too, as a recorded blind spot.
+pair suites do not fail is kept too, as a recorded blind spot, with the oracle
+that does find it where there is one.
 """
 
 import dataclasses
@@ -13,7 +14,8 @@ import pytest
 
 from orbit_embed import (analysis, empirical_lipschitz, measure, nonparallel_falsification,
                          separation_margin)
-from orbit_embed.invariants import SeparatingSet
+from orbit_embed.invariants import PairMonomial, SeparatingSet
+from orbit_embed.oracles import separation_counterexample
 
 PAIR_SUITES = {
     "separation": lambda p: separation_margin(p, 300, 0.1, seed=7),
@@ -29,6 +31,15 @@ def raised_pair_exponent(pipeline):
     monomials = list(sset.monomials)
     pair = monomials[sset.n]
     monomials[sset.n] = dataclasses.replace(pair, b=pair.b + 1)
+    return dataclasses.replace(pipeline, sset=SeparatingSet(sset.action, tuple(monomials)))
+
+
+def dropped_pair(pipeline):
+    """The first pair monomial, x_1 x_2**2 on z12, replaced by x_1**2, which the
+    set already holds: F no longer fixes the relative phase of x_1 and x_2."""
+    sset = pipeline.sset
+    monomials = list(sset.monomials)
+    monomials[sset.n] = PairMonomial(1, 2, 2, 0)
     return dataclasses.replace(pipeline, sset=SeparatingSet(sset.action, tuple(monomials)))
 
 
@@ -71,3 +82,16 @@ def test_rank_one_reducer_is_a_blind_spot(z12_pipeline, suite):
     # meet in its one complex direction, nor at a positive real ratio: no pair
     # suite fails it (recorded in the ROADMAP under harness falsification power)
     assert PAIR_SUITES[suite](rank_one_reducer(z12_pipeline)).passed
+
+
+@pytest.mark.parametrize("suite", PAIR_SUITES)
+def test_dropped_pair_is_a_blind_spot(z12_pipeline, suite):
+    # the orbits F no longer separates are those of signals supported on x_1 and
+    # x_2 alone, which random pairs never draw: no pair suite fails the mutant
+    assert PAIR_SUITES[suite](dropped_pair(z12_pipeline)).passed
+
+
+def test_dropped_pair_is_found_by_the_oracle(z12_pipeline):
+    assert separation_counterexample(z12_pipeline.sset) is None
+    support, _ = separation_counterexample(dropped_pair(z12_pipeline).sset)
+    assert support == (0, 1)
