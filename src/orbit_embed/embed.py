@@ -30,8 +30,9 @@ __all__ = [
     "make_pipeline", "auto_target_dim", "measure", "embed", "lipschitz_bound",
 ]
 
-# Rows of one reducer product when an action.BLOCK_BYTES block holds fewer: smaller
-# gemms cost more per row. OpenBLAS gives a row the same bits in every product
+# Rows of one reducer product, and of one block of operator_norm's Gram matrix,
+# when an action.BLOCK_BYTES block holds fewer: smaller gemms cost more per
+# row. OpenBLAS (with one thread) gives a row the same bits in every product
 # of two or more rows; a lone row is padded to two (a one-row product is a
 # gemv, which rounds differently), so no row's bits depend on its batch.
 PRODUCT_ROWS = 64
@@ -93,8 +94,14 @@ def operator_norm(reducer) -> float:
     """Largest singular value, from the top eigenvalue of the smaller Gram matrix.
 
     For a k x N matrix l the Gram matrix is l l* when k <= N (every reducer)
-    and l* l otherwise; its largest eigenvalue is sigma_max squared. The
-    result is certified against the bracketing bounds
+    and the conjugate of l* l otherwise (same spectrum); its largest
+    eigenvalue is sigma_max squared. It is filled one block of rows at a
+    time, conj(l[I]) l^T, and conjugated once in place, so no conjugate copy
+    of l is made. A block has ``max(PRODUCT_ROWS, block_rows(N))`` rows, the
+    reducer products' rule, and a lone last row joins the block before it,
+    so with one BLAS thread each entry has the bits of the whole product
+    l l*. The result is
+    certified against the bracketing bounds
     frob/sqrt(min(k, N)) <= sigma_max <= frob.
     """
     a = reducer.entries if isinstance(reducer, Reducer) else np.asarray(reducer, dtype=np.complex128)
@@ -105,7 +112,17 @@ def operator_norm(reducer) -> float:
     frob = float(np.linalg.norm(a))
     if frob == 0.0:
         return 0.0
-    gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    k, N = a.shape
+    gram = np.empty((k, k), dtype=np.complex128)
+    step = max(PRODUCT_ROWS, block_rows(N))
+    starts = list(range(0, k, step))
+    if k > 1 and k % step == 1:  # no one-row product: it is a gemv
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [k]):
+        gram[start:stop] = a[start:stop].conj() @ a.T
+    np.conjugate(gram, out=gram)
     sigma = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
     lo = frob / math.sqrt(min(a.shape)) * (1 - 1e-9)
     hi = frob * (1 + 1e-9)
@@ -220,20 +237,20 @@ def _to_monomial_domain(pipeline: Pipeline, x) -> np.ndarray:
 
 def _reduce(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
     # H(u) = (l o F)(u) for a signal or a batch: the monomials one blocks() block
-    # at a time, the reducer product on PRODUCT_ROWS or more rows at a time
+    # at a time, evaluated into one product buffer, the reducer product on
+    # PRODUCT_ROWS or more rows at a time
     rows = u.reshape(-1, u.shape[-1])
     sset, entries = pipeline.sset, pipeline.reducer.entries
     out = np.empty((len(rows), pipeline.target_dim), dtype=np.complex128)
     step = max(PRODUCT_ROWS, block_rows(sset.size))
+    values = np.empty((max(2, min(step, len(rows))), sset.size), dtype=np.complex128)
     for start in range(0, len(rows), step):
         part = rows[start:start + step]
-        parts = [eval_invariants(sset, part[sub]) for sub in blocks(len(part), sset.size)]
-        # joined once evaluated: filling a buffer allocated first kept about
-        # 1.2 MiB more of the heap resident in a translation n=64 verify
-        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for sub in blocks(len(part), sset.size):
+            values[sub] = eval_invariants(sset, part[sub])
         if len(part) == 1:  # padded to two rows: a one-row product is a gemv
-            values = np.repeat(values, 2, axis=0)
-        out[start:start + step] = (values @ entries.T)[:len(part)]
+            values[1] = values[0]
+        out[start:start + step] = (values[:max(2, len(part))] @ entries.T)[:len(part)]
     return out.reshape(u.shape[:-1] + (pipeline.target_dim,))
 
 

@@ -1,11 +1,17 @@
+import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbit_embed
 from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          auto_target_dim, embed, eval_gradient,
                          eval_invariants, lipschitz_bound, make_cyclic_action,
@@ -311,6 +317,89 @@ class TestOperatorNorm:
     def test_matches_svd_on_wide_gaussian(self):
         r = make_reducer(36, 17, seed=42)
         assert operator_norm(r) == pytest.approx(svd_operator_norm(r.entries), abs=1e-8)
+
+    @pytest.mark.parametrize("pipeline", ["minus_identity_pipeline", "z12_pipeline",
+                                          "translation_pipeline", "translation-64"])
+    def test_keeps_the_bits_of_the_whole_gram_product_on_shipped_reducers(self, pipeline,
+                                                                          request):
+        # the Lipschitz reports print this norm
+        if pipeline == "translation-64":
+            a = make_pipeline(make_translation_action(64), seed=42).reducer.entries
+        else:
+            a = request.getfixturevalue(pipeline).reducer.entries
+        assert operator_norm(a) == math.sqrt(np.linalg.eigvalsh(a @ a.conj().T)[-1])
+
+    def test_keeps_the_bits_of_the_whole_gram_product(self):
+        # in its own interpreter with one BLAS thread, as the benchmark runs:
+        # with more, OpenBLAS splits a product's rows among its threads, and
+        # then the bits of the whole product depend on the split as well
+        src = str(Path(orbit_embed.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", GRAM_BITS_CHECK], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-3000:]
+
+
+# k around the edges of the Gram blocks (max(PRODUCT_ROWS, block_rows(N)) rows,
+# a lone last row joined to the block before it), N >= k, and tall k > N shapes,
+# whose Gram matrix is l* l
+GRAM_BITS_CHECK = """
+import math
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from orbit_embed import operator_norm
+
+@given(k=st.sampled_from([1, 2, 3, 63, 64, 65, 66, 127, 128, 129, 130]),
+       extra=st.one_of(st.integers(0, 600), st.sampled_from([2080, 8256])),
+       tall=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None, database=None)
+def check(k, extra, tall, seed):
+    shape = (k + extra, k) if tall else (k, min(k + extra, 8256))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gram = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    assert operator_norm(a) == math.sqrt(np.linalg.eigvalsh(gram)[-1]), shape
+
+check()
+"""
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)``, after one warm-up call and with
+    the cyclic collector off."""
+    fn(*args)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestReducerProductsHoldNoCopy:
+    """The k x N reducer is the only full-size array: neither the operator
+    norm nor the reducer products hold a second copy of one."""
+
+    def test_operator_norm_takes_no_copy_of_the_reducer(self):
+        # the translation n=128 reducer, 34 MB
+        r = make_reducer(8256, 257, seed=42)
+        peak = traced_peak(operator_norm, r)
+        assert peak < 0.5 * r.entries.nbytes, peak / r.entries.nbytes
+
+    def test_embed_holds_one_copy_of_the_monomial_rows(self, rng):
+        # one 64-row reducer product at n=64: its monomial rows, (64, 2080)
+        pipeline = make_pipeline(make_translation_action(64), seed=42)
+        x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        peak = traced_peak(embed, pipeline, x)
+        rows = 64 * pipeline.sset.size * 16
+        assert peak < 1.75 * rows, peak / rows
 
 
 class TestPipeline:
