@@ -28,23 +28,23 @@ maxima are kept (``_orbit_pass``). A caller that runs both on one pipeline can
 share it by passing both the same dict as ``passes``, a memo keyed by
 ``(seed, samples)``: ``verify`` makes one per run, so two suites at the same
 seed and sample count compute one pass, and at different counts two. Without
-``passes`` a suite computes its own pass and keeps nothing. Rows of ``embed``
-are bit-identical in any batch, so a shared run writes the same report bytes
-as each suite run alone.
+``passes`` a suite computes its own pass and keeps nothing. With one BLAS thread,
+rows of ``embed`` are bit-identical in any batch, so a shared run writes the same
+report bytes as each suite run alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .action import (CyclicAction, act, as_signals, blocks, make_cyclic_action, orbit,
                      quotient_distance)
-from .embed import (Pipeline, embed, embed_monomial_domain, eval_invariants, eval_partials,
-                    lipschitz_bound, measure)
+from .embed import (Pipeline, embed, eval_invariants, eval_partials, lipschitz_bound,
+                    measure)
 from .errors import HypothesisError, ParameterError, check_param, is_int, is_prime
 from .invariants import PairMonomial, SeparatingSet
 
@@ -501,13 +501,16 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
     eps, fits the log-log slope, and passes iff the slope lies in [0.8, 1.2]
     and the ratio at least halves from the largest to the smallest eps.
     The witness pair is auto-detected unless given explicitly (0-based).
+    The sweep runs on the pipeline's diagonal form (``sset.action``), whose
+    coordinates the witness indexes: for translation, the Fourier conjugate.
     """
-    diag = pipeline.sset.action
-    if diag.m < 3 or diag.n < 3:
+    pipeline = replace(pipeline, action=pipeline.sset.action)
+    action = pipeline.action
+    if action.m < 3 or action.n < 3:
         raise HypothesisError(
             f"degeneration requires group order and dimension >= 3, "
-            f"got m={diag.m}, n={diag.n}")
-    check_param(epsilons=epsilons, witness=witness, dim=diag.n)
+            f"got m={action.m}, n={action.n}")
+    check_param(epsilons=epsilons, witness=witness, dim=action.n)
     eps = [float(e) for e in epsilons]
     if witness is None:
         support, perturb, _ = find_degeneration_witness(pipeline.sset)
@@ -515,11 +518,11 @@ def lower_lipschitz_sweep(pipeline: Pipeline, epsilons,
         support, perturb = map(int, witness)
 
     # row 0 is the base point x (eps = 0), row i + 1 is x_eps for eps[i]
-    xe = np.zeros((len(eps) + 1, diag.n), dtype=np.complex128)
+    xe = np.zeros((len(eps) + 1, action.n), dtype=np.complex128)
     xe[:, support] = np.sqrt(1.0 - np.square([0.0] + eps))
     xe[1:, perturb] = eps
-    dists = quotient_distance(diag, xe[1:], xe[0])
-    phi = embed_monomial_domain(pipeline, xe)
+    dists = quotient_distance(action, xe[1:], xe[0])
+    phi = embed(pipeline, xe)
     # the whole-vector (BLAS dot) norm of each row keeps the recorded sweep bits
     gaps = [float(np.linalg.norm(row)) for row in phi[1:] - phi[0]]
     # x_eps has two nonzero moduli and x one, so they never share an orbit: a 0

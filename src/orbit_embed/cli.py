@@ -321,7 +321,8 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
     """Write complex signals that :func:`load_signals` reads back bit-exactly.
 
     ``signals`` is a batch ``(S, n)`` or one signal ``(n,)``, written as a file
-    of one signal; other shapes raise DimensionError. The file is formatted and
+    of one signal; other shapes, and signals of length 0, raise DimensionError
+    (a CSV file of them would read back as no signals). The file is formatted and
     written one :func:`action.blocks` block of rows at a time: a block's floats
     are formatted in one C-level call and laid out by a template of its rows, so
     memory does not grow with S. A write that fails removes the partial file.
@@ -334,6 +335,8 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
             f"signals must be an (n,) vector or an (S, n) batch, got shape {signals.shape}")
     signals = np.ascontiguousarray(np.atleast_2d(signals))
     S, n = signals.shape
+    if S and not n:
+        raise DimensionError(f"signals need at least one entry, got shape {signals.shape}")
     # the text before the first block, between two blocks and after the last
     if fmt == "csv":
         head, sep, tail, rows = "signal_id,index,re,im\n", "", "", _csv_rows
@@ -361,9 +364,9 @@ def _json_rows(block: np.ndarray, start: int) -> str:
     mode its C encoder runs in."""
     count, n = block.shape
     pair = "    [\n      %s,\n      %s\n    ]"
-    row = "  [\n" + ",\n".join([pair] * n) + "\n  ]" if n else "  []"
+    row = "  [\n" + ",\n".join([pair] * n) + "\n  ]"
     reprs = json.dumps(block.view(np.float64).ravel().tolist())[1:-1]
-    return ",\n".join([row] * count) % tuple(reprs.split(", ") if reprs else ())
+    return ",\n".join([row] * count) % tuple(reprs.split(", "))
 
 
 def _csv_rows(block: np.ndarray, start: int) -> str:
@@ -386,10 +389,8 @@ def cmd_verify(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     passes: dict = {}  # the orbit passes of this run's pipeline, by (seed, samples)
     results = {}
-    for name, suite in SUITES.items():
-        if name not in config.suites:
-            continue
-        result = suite.run(pipeline, config.suites[name], config.seed, passes)
+    for name, params in config.suites.items():  # in SUITES order (config_from_dict)
+        result = SUITES[name].run(pipeline, params, config.seed, passes)
         doc = result.to_json_dict()
         _write_json(out / f"{name}.json", doc)
         results[name] = bool(doc["pass"])

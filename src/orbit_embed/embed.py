@@ -263,33 +263,26 @@ def measure(pipeline: Pipeline, x) -> np.ndarray:
     return _reduce(pipeline, _to_monomial_domain(pipeline, x))
 
 
-def embed_monomial_domain(pipeline: Pipeline, u: np.ndarray) -> np.ndarray:
-    """Phi for a signal ``(n,)`` or batch ``(S, n)`` already in the diagonal
-    (monomial) domain.
-
-    Computes ||u|| H(u/||u||), and exactly zero where ||u|| is 0 in float64,
-    as it is for a nonzero row whose squared entries all underflow (entries
-    below about 1.6e-162).
-    """
-    nrm = np.linalg.norm(u, axis=-1, keepdims=True)
-    zero = nrm == 0.0
-    nrm[zero] = 1.0  # zero rows are evaluated at u itself, then zeroed
-    return np.where(zero, 0.0, nrm * _reduce(pipeline, u / nrm))
-
-
 def embed(pipeline: Pipeline, x) -> np.ndarray:
     """The stable invariant embedding Phi(x) = ||x|| H(x/||x||), Phi(0) = 0.
 
     ``x`` is one signal ``(n,)`` or a batch ``(S, n)``; the result is
-    ``(k,)`` or ``(S, k)``, each batch row bit-identical to embedding that
-    signal alone or in any other batch (the reducer product runs on at least
-    ``PRODUCT_ROWS`` rows and never on one). Verification sampling stays on
-    or near the unit sphere, where monomial powers of unit-modulus entries
-    cannot overflow. Phi(c x) = c Phi(x) holds only while the float64 norm of
-    x is exact: from entries of about 1e154 it overflows (the result is NaN),
-    below about 1e-154 it loses accuracy, and below about 1.6e-162 it is 0.
+    ``(k,)`` or ``(S, k)``. With one BLAS thread, each batch row is
+    bit-identical to embedding that signal alone or in any other batch (the
+    reducer product runs on at least ``PRODUCT_ROWS`` rows and never on one).
+    Phi is exactly zero where ||x|| (of the unitary DFT, for translation) is 0
+    in float64, as it is for a nonzero row whose squared entries all underflow
+    (entries below about 1.6e-162). Verification sampling stays on or near the
+    unit sphere, where monomial powers of unit-modulus entries cannot overflow.
+    Phi(c x) = c Phi(x) holds only while the float64 norm of x is exact: from
+    entries of about 1e154 it overflows (the result is NaN), and below about
+    1e-154 it loses accuracy.
     """
-    return embed_monomial_domain(pipeline, _to_monomial_domain(pipeline, x))
+    u = _to_monomial_domain(pipeline, x)
+    nrm = np.linalg.norm(u, axis=-1, keepdims=True)
+    zero = nrm == 0.0
+    nrm[zero] = 1.0  # zero rows are evaluated at u itself, then zeroed
+    return np.where(zero, 0.0, nrm * _reduce(pipeline, u / nrm))
 
 
 @dataclass(frozen=True)

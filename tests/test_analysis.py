@@ -16,10 +16,12 @@ from orbit_embed import (HypothesisError, OrbitEmbedError, ParameterError, act,
                          empirical_lipschitz, eval_invariants,
                          find_degeneration_witness, lipschitz_bound,
                          lower_lipschitz_sweep, make_cyclic_action,
-                         make_pipeline, measure, nonparallel_falsification, orbit,
+                         make_pipeline, make_translation_action, measure,
+                         nonparallel_falsification, orbit,
                          prime_case_report, prime_collision_pair,
                          prime_fourier_map, quotient_distance,
-                         separation_margin, sup_norm_check, tilde_rescale)
+                         separation_margin, sup_norm_check, tilde_rescale,
+                         to_fourier_domain)
 from orbit_embed import analysis
 from orbit_embed.analysis import _Draw
 from orbit_embed.action import BLOCK_BYTES
@@ -429,6 +431,15 @@ class TestLowerLipschitzSweep:
         assert (pair.j, pair.k, pair.a, pair.b) == (1, 2, 2, 1)
         result = lower_lipschitz_sweep(pipeline, self.EPSILONS)
         assert result.passed and 0.99 <= result.slope <= 1.01
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 12, 16])
+    def test_translation_sweeps_its_fourier_conjugate(self, n):
+        # the sweep runs on the diagonal form: a translation pipeline's sweep is
+        # that of the pipeline built on its Fourier conjugate, field for field
+        action = make_translation_action(n)
+        sweeps = [lower_lipschitz_sweep(make_pipeline(a, seed=42), self.EPSILONS).to_json_dict()
+                  for a in (action, to_fourier_domain(action))]
+        assert sweeps[0] == sweeps[1]
 
     def test_failing_sweep_passed_is_a_python_bool(self, z12_pipeline):
         # witness (1, 0) fits a slope near 0; the failed gate was a numpy.bool

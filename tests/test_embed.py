@@ -19,7 +19,7 @@ from orbit_embed import (DataError, DimensionError, ParameterError, act,
                          measure, operator_norm, separating_set,
                          to_fourier_domain)
 from orbit_embed.action import BLOCK_BYTES
-from orbit_embed.embed import PRODUCT_ROWS, embed_monomial_domain, eval_partials
+from orbit_embed.embed import PRODUCT_ROWS, eval_partials
 from orbit_embed.oracles import (finite_difference_gradient, gradient_discrepancy,
                                  svd_operator_norm)
 
@@ -557,9 +557,9 @@ class TestBatch:
 
 
 class TestRowBitsDoNotDependOnTheBatch:
-    """Every row of embed, measure and embed_monomial_domain has the bits of the
-    same signal alone and inside any other split of its batch: the reducer
-    product runs in blocks of at least 64 rows and never on one row."""
+    """Every row of embed and measure has the bits of the same signal alone and
+    inside any other split of its batch: the reducer product runs in blocks of
+    at least 64 rows and never on one row."""
 
     @pytest.fixture(scope="class", params=["translation-8", "translation-32",
                                            "translation-64", "diagonal-40"])
@@ -580,7 +580,7 @@ class TestRowBitsDoNotDependOnTheBatch:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         x = rng.standard_normal((S, n)) + 1j * rng.standard_normal((S, n))
         x *= (10.0 ** rng.uniform(-3, 3, size=S))[:, None]
-        for fn in (embed, measure, embed_monomial_domain):
+        for fn in (embed, measure):
             batch = fn(pipeline, x)
             assert_same_bits(np.concatenate((fn(pipeline, x[:cut]), fn(pipeline, x[cut:]))),
                              batch)
