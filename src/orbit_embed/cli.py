@@ -268,9 +268,21 @@ def _stack_signals(signals: list) -> np.ndarray:
 def _signals_from_json(doc, path: str) -> np.ndarray:
     # doc: the parsed file. Each signal, in index order, must hold [re, im] pairs of
     # numbers: values of type int or float (json.loads gives true and false as
-    # bool), an int only if it fits a float.
+    # bool), an int only if it fits a float. The rule is first checked over the
+    # whole document, one C-level pass over its signals, pairs or values at a
+    # time; the loop below runs only to name the first bad signal.
     if not isinstance(doc, list):
         raise DataError(f"{path}: top level must be an array of signals")
+    flat = chain.from_iterable
+    if (set(map(type, doc)) <= {list} and len(widths := set(map(len, doc))) <= 1
+            and set(map(type, flat(doc))) <= {list} and set(map(len, flat(doc))) <= {2}
+            and set(map(type, flat(flat(doc)))) <= {int, float}):
+        width = widths.pop() if widths else 0
+        try:
+            values = np.fromiter(flat(flat(doc)), np.float64, 2 * width * len(doc))
+            return values.view(np.complex128).reshape(len(doc), width)
+        except OverflowError:  # an int too large for a float, named below
+            pass
     for idx, row in enumerate(doc):
         if not (isinstance(row, list)
                 and all(type(pair) is list and len(pair) == 2 for pair in row)
@@ -324,8 +336,8 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
     of one signal; other shapes, and signals of length 0, raise DimensionError
     (a CSV file of them would read back as no signals). The file is formatted and
     written one :func:`action.blocks` block of rows at a time: a block's floats
-    are formatted in one C-level call and laid out by a template of its rows, so
-    memory does not grow with S. A write that fails removes the partial file.
+    are formatted by one ``%`` on a ``%r`` template of its rows, so memory does
+    not grow with S. A write that fails removes the partial file.
     """
     if fmt not in ("json", "csv"):
         raise DataError(f"unknown signal format {fmt!r}")
@@ -360,21 +372,25 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
 
 def _json_rows(block: np.ndarray, start: int) -> str:
     """The rows of ``json.dumps(doc, indent=2)`` for doc = [[[re, im], ...], ...],
-    joined by ",\\n"; the floats go through json.dumps without indent, the only
-    mode its C encoder runs in."""
+    joined by ",\\n": one ``%`` on a ``%r`` template of the rows. ``%r`` and
+    json's encoder both write a finite float as ``float.__repr__`` does. For
+    nan, inf and -inf json writes NaN, Infinity and -Infinity; no finite repr
+    holds those letters, so a block with a non-finite value is respelled."""
     count, n = block.shape
-    pair = "    [\n      %s,\n      %s\n    ]"
+    pair = "    [\n      %r,\n      %r\n    ]"
     row = "  [\n" + ",\n".join([pair] * n) + "\n  ]"
-    reprs = json.dumps(block.view(np.float64).ravel().tolist())[1:-1]
-    return ",\n".join([row] * count) % tuple(reprs.split(", "))
+    text = ",\n".join([row] * count) % tuple(block.view(np.float64).ravel().tolist())
+    if not np.isfinite(block).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _csv_rows(block: np.ndarray, start: int) -> str:
     # f"{sid},{index},{re!r},{im!r}" per value, signal ids from start
     count, n = block.shape
-    row = "".join(f"%d,{index},%%s,%%s\n" for index in range(n))
+    row = "".join(f"%d,{index},%%r,%%r\n" for index in range(n))
     template = "".join(row % ((sid,) * n) for sid in range(start, start + count))
-    return template % tuple(map(repr, block.view(np.float64).ravel().tolist()))
+    return template % tuple(block.view(np.float64).ravel().tolist())
 
 
 def _write_json(path: Path, doc) -> None:

@@ -313,6 +313,27 @@ class TestSaveSignalsJson:
         save_signals(str(path), batch, "json")
         assert path.read_text() == self.oracle(batch)
 
+    def test_special_values_in_one_block(self, tmp_path):
+        # json spells the non-finite values NaN and Infinity, repr nan and inf
+        values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 1e22,
+                  1.0, 123456789.123, float("nan")]
+        signals = np.array(values).view(np.complex128).reshape(1, -1)
+        path = tmp_path / "out.json"
+        save_signals(str(path), signals, "json")
+        doc = [[values[i:i + 2] for i in range(0, len(values), 2)]]
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def test_non_finite_block_before_a_finite_one(self, tmp_path, monkeypatch):
+        # the respelling of one block's NaN leaves the next block's text alone
+        B = small_blocks(monkeypatch, 1)
+        signals = np.arange(4.0 * B).view(np.complex128).reshape(2 * B, 1) + 1e22
+        signals[0, 0] = complex(float("nan"), float("-inf"))
+        path = tmp_path / "out.json"
+        save_signals(str(path), signals, "json")
+        text = path.read_text()
+        assert text == self.oracle(signals)
+        assert text.count("NaN") == text.count("-Infinity") == 1
+
 
 class TestSaveSignalsCsv:
     """save_signals writes the bytes of one f-string line per value."""
@@ -1228,6 +1249,9 @@ class TestJsonReader:
         new, old = self.both(tmp_path, text)
         assert new == old
 
+    # ten valid signals of four pairs, before a last signal that breaks the rule
+    VALID = ", ".join(["[[1, 0.5], [-2, 3e-3], [0.25, 4], [5, -6.5]]"] * 10)
+
     @pytest.mark.parametrize("text, expected", [
         ('[[[1, 0]], [[0, 1], [2, 0]], [["x", 0]]]',
          "signal 2 must be an array of [re, im] number pairs"),
@@ -1244,10 +1268,21 @@ class TestJsonReader:
         ("[]", (0, 0)),
         ("[[], []]", (2, 0)),
         (f"[[[{2**1024 - 2**971}, {2**63}]]]", (1, 1)),
+        (f"[{VALID}, [[1, 0], [2, 0], [3, 0], [null, 0]]]",
+         "signal 10 must be an array of [re, im] number pairs"),
+        (f"[{VALID}, [[1, 0], [2, 0], [3, 0], [4, 0, 0]]]",
+         "signal 10 must be an array of [re, im] number pairs"),
+        (f"[{VALID}, [[1, 0], [2, 0], [3, 0], [{2**1024 - 2**970}, 0]]]",
+         "signal 10 has a number too large for a float"),
+        (f"[{VALID}, [[1, 0], [2, 0], [3, 0]]]", "signal 10 has length 3, signal 0 has length 4"),
+        (f"[[[1, -2], [3, 0]], [[{-2**62}, {2**63 + 1}], [{2**53 + 1}, {-(2**1024 - 2**971)}]]]",
+         (2, 2)),
+        ("[[[1, 0.5], [-0.0, 7]], [[1e308, -3], [18446744073709551616, 5e-324]]]", (2, 2)),
     ], ids=["malformed-after-ragged", "overflow-before-string", "string-before-overflow",
             "string-beside-overflow", "ragged-before-non-finite", "zero-length-first",
             "huge-float-is-non-finite", "false", "no-signals", "zero-length-signals",
-            "largest-ints"])
+            "largest-ints", "null-in-last", "triple-in-last", "int-overflow-in-last",
+            "short-last", "all-int", "mixed-int-float"])
     def test_precedence(self, tmp_path, text, expected):
         new, old = self.both(tmp_path, text)
         assert new == old

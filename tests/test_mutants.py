@@ -10,6 +10,7 @@ where there is one.
 
 import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -98,6 +99,31 @@ def test_unnormalized_phi_fails_lipschitz(z12_pipeline, monkeypatch):
     report = PAIR_SUITES["lipschitz"](z12_pipeline)
     assert not report.passed
     assert report.statistic > 1e6 * report.threshold
+
+
+@pytest.fixture
+def scaled_phi(monkeypatch):
+    """Phi times 30 wherever the suites embed: Lipschitz ratios and separation
+    margins grow thirtyfold, and nonparallel's residuals, which are scale-free,
+    do not move."""
+    monkeypatch.setattr(analysis, "embed", lambda pipeline, x: 30 * embed(pipeline, x))
+
+
+@pytest.mark.parametrize("suite", PAIR_SUITES)
+def test_scaled_phi_is_a_blind_spot(z12_pipeline, scaled_phi, suite):
+    # 30 Phi stays under the Lipschitz gate 3 m ||l|| (about 106 against 224.3
+    # here, 166.7 at the shipped 10,000 samples), and a wider separation margin
+    # or an unchanged nonparallel residual passes too: no pair suite fails it
+    assert PAIR_SUITES[suite](z12_pipeline).passed
+
+
+def test_scaled_phi_is_found_by_the_golden_comparison(z12_pipeline, scaled_phi, golden_path):
+    # golden.json pins z12's separation margin at 1,000 samples (seed 7), the
+    # call golden_fixture_values makes; 30 Phi gives thirty times the margin
+    pinned = json.loads(golden_path.read_text())["z12_c5"]["separation_margin"]
+    margin = separation_margin(z12_pipeline, 1000, 0.1, seed=7).statistic
+    assert margin == pytest.approx(30 * pinned, rel=1e-9)
+    assert margin != pytest.approx(pinned, rel=1e-9)
 
 
 @pytest.mark.parametrize("suite", PAIR_SUITES)
