@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, oracles
-from .action import blocks, make_cyclic_action, make_translation_action
+from .action import as_signals, blocks, make_cyclic_action, make_translation_action
 from .embed import Pipeline, embed, make_pipeline, operator_norm
-from .errors import DataError, DimensionError, OrbitEmbedError, ParameterError, check_param
+from .errors import DataError, OrbitEmbedError, ParameterError, check_param
 from .invariants import separating_set_to_json
 
 
@@ -61,8 +61,7 @@ SUITES = {
     "sweep": Suite(
         {"epsilons": [1e-1, 3e-2, 1e-2, 3e-3, 1e-3], "witness": None},
         lambda pipeline, p, seed, _: analysis.lower_lipschitz_sweep(
-            pipeline, p["epsilons"],
-            witness=None if p["witness"] is None else tuple(p["witness"]))),
+            pipeline, p["epsilons"], witness=p["witness"])),
     "prime": Suite(
         {"p": 5, "samples": 200},
         lambda pipeline, p, seed, _: analysis.prime_case_report(p["p"], p["samples"], seed)),
@@ -227,23 +226,24 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
     JSON: an array of signals, each an array of [re, im] number pairs. CSV:
     header ``signal_id,index,re,im`` with rows grouped by signal id; each
     signal's indices must cover 0..len-1. Files are read as UTF-8 and parsed
-    locale-independently. A malformed file is refused with the error of its
-    first bad signal (JSON) or row (CSV); a length that differs from signal
-    0's is reported only once every signal's entries pass. A file without
-    signals gives a ``(0, 0)`` array.
+    locale-independently. Both formats' parsed signals become the array in one
+    step, which checks the JSON rule over all of them at once. A malformed file
+    is refused with the error of its first bad signal (JSON) or row (CSV); a
+    length that differs from signal 0's is reported only once every signal's
+    entries pass. A file without signals gives a ``(0, 0)`` array.
     """
     if fmt not in ("json", "csv"):
         raise DataError(f"unknown signal format {fmt!r}")
     text = _read_text(path, "signal file", DataError)
     if not text or text.isspace():  # the test of text.strip(), without its copy
         warnings.warn(f"signal file {path!r} is empty")
-        return _stack_signals([])
+        return _stack_signals([], path)
     if fmt == "csv":
         signals = _signals_from_csv(text, path)
     else:
         doc = _parse_json(text, "signal file", path, DataError)
         del text  # freed before the document is copied into an array
-        signals = _signals_from_json(doc, path)
+        signals = _stack_signals(doc, path)
     if not len(signals):
         warnings.warn(f"signal file {path!r} contains no signals")
     finite = np.isfinite(signals).all(axis=1)
@@ -254,47 +254,39 @@ def load_signals(path: str, fmt: str = "json") -> np.ndarray:
     return signals
 
 
-def _stack_signals(signals: list) -> np.ndarray:
-    # signals of [re, im] float pairs, each as long as signal 0 -> one complex
-    # (S, n) array holding those floats' bits, (0, 0) for none
-    width = len(signals[0]) if signals else 0
-    for idx, sig in enumerate(signals):
-        if len(sig) != width:
-            raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
-    pairs = np.array(signals, dtype=np.float64).reshape(len(signals), width, 2)
-    return pairs.view(np.complex128)[..., 0]
-
-
-def _signals_from_json(doc, path: str) -> np.ndarray:
-    # doc: the parsed file. Each signal, in index order, must hold [re, im] pairs of
-    # numbers: values of type int or float (json.loads gives true and false as
-    # bool), an int only if it fits a float. The rule is first checked over the
-    # whole document, one C-level pass over its signals, pairs or values at a
-    # time; the loop below runs only to name the first bad signal.
-    if not isinstance(doc, list):
-        raise DataError(f"{path}: top level must be an array of signals")
+def _signal_values(signals: list):
+    # parsed signals -> their values as one float64 array, or the tail of the message
+    # naming the part of the rule they break, checked in C-level passes: each signal
+    # a list of [re, im] pairs (lists, or CSV's tuples) of values of type int or
+    # float (json.loads gives true and false as bool), an int only if it fits a float
     flat = chain.from_iterable
-    if (set(map(type, doc)) <= {list} and len(widths := set(map(len, doc))) <= 1
-            and set(map(type, flat(doc))) <= {list} and set(map(len, flat(doc))) <= {2}
-            and set(map(type, flat(flat(doc)))) <= {int, float}):
-        width = widths.pop() if widths else 0
-        try:
-            values = np.fromiter(flat(flat(doc)), np.float64, 2 * width * len(doc))
-            return values.view(np.complex128).reshape(len(doc), width)
-        except OverflowError:  # an int too large for a float, named below
-            pass
-    for idx, row in enumerate(doc):
-        if not (isinstance(row, list)
-                and all(type(pair) is list and len(pair) == 2 for pair in row)
-                and (types := set(map(type, chain.from_iterable(row)))) <= {int, float}):
-            raise DataError(f"{path}: signal {idx} must be an array of [re, im] number pairs")
-        if int in types:
-            try:
-                for value in chain.from_iterable(row):
-                    float(value)
-            except OverflowError as exc:
-                raise DataError(f"{path}: signal {idx} has a number too large for a float") from exc
-    return _stack_signals(doc)
+    if not (set(map(type, signals)) <= {list}
+            and set(map(type, flat(signals))) <= {list, tuple}
+            and set(map(len, flat(signals))) <= {2}
+            and set(map(type, flat(flat(signals)))) <= {int, float}):
+        return "must be an array of [re, im] number pairs"
+    try:
+        return np.fromiter(flat(flat(signals)), np.float64, 2 * sum(map(len, signals)))
+    except OverflowError:
+        return "has a number too large for a float"
+
+
+def _stack_signals(signals, path: str) -> np.ndarray:
+    # parsed signals, each as long as signal 0 -> one complex (S, n) array of their
+    # floats' bits, (0, 0) for none; the loops run only to name the first bad signal
+    if not isinstance(signals, list):
+        raise DataError(f"{path}: top level must be an array of signals")
+    values = _signal_values(signals)
+    if isinstance(values, str):
+        for idx, row in enumerate(signals):
+            if isinstance(tail := _signal_values([row]), str):
+                raise DataError(f"{path}: signal {idx} {tail}")
+    width = len(signals[0]) if signals else 0
+    if len(set(map(len, signals))) > 1:
+        for idx, sig in enumerate(signals):
+            if len(sig) != width:
+                raise DataError(f"signal {idx} has length {len(sig)}, signal 0 has length {width}")
+    return values.view(np.complex128).reshape(len(signals), width)
 
 
 def _signals_from_csv(text: str, path: str) -> np.ndarray:
@@ -326,15 +318,16 @@ def _signals_from_csv(text: str, path: str) -> np.ndarray:
             raise DataError(f"{path}: signal {sid!r} has ragged indices "
                             f"(expected 0..{len(entries) - 1})")
         signals.append([entries[i] for i in range(len(entries))])
-    return _stack_signals(signals)
+    return _stack_signals(signals, path)
 
 
 def save_signals(path: str, signals, fmt: str = "json") -> None:
     """Write complex signals that :func:`load_signals` reads back bit-exactly.
 
     ``signals`` is a batch ``(S, n)`` or one signal ``(n,)``, written as a file
-    of one signal; other shapes, and signals of length 0, raise DimensionError
-    (a CSV file of them would read back as no signals). The file is formatted and
+    of one signal; :func:`action.as_signals` refuses other shapes, and signals of
+    length 0 (a CSV file of them would read back as no signals), with
+    DimensionError, but for the ``(0, 0)`` of no signals. The file is formatted and
     written one :func:`action.blocks` block of rows at a time: a block's floats
     are formatted by one ``%`` on a ``%r`` template of its rows, so memory does
     not grow with S. A write that fails removes the partial file.
@@ -342,13 +335,10 @@ def save_signals(path: str, signals, fmt: str = "json") -> None:
     if fmt not in ("json", "csv"):
         raise DataError(f"unknown signal format {fmt!r}")
     signals = np.asarray(signals, dtype=np.complex128)
-    if signals.ndim not in (1, 2):
-        raise DimensionError(
-            f"signals must be an (n,) vector or an (S, n) batch, got shape {signals.shape}")
+    if signals.shape != (0, 0):  # no signals, as load_signals returns them
+        as_signals(signals)
     signals = np.ascontiguousarray(np.atleast_2d(signals))
     S, n = signals.shape
-    if S and not n:
-        raise DimensionError(f"signals need at least one entry, got shape {signals.shape}")
     # the text before the first block, between two blocks and after the last
     if fmt == "csv":
         head, sep, tail, rows = "signal_id,index,re,im\n", "", "", _csv_rows

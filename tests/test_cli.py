@@ -4,7 +4,9 @@ import errno
 import gc
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import orbit_embed
-from orbit_embed import analysis, cli
+from orbit_embed import analysis, as_signals, cli
 from orbit_embed.cli import (ConfigError, build_pipeline, config_from_dict,
                              golden_fixture_values, load_signals, main,
                              save_signals)
@@ -422,6 +424,19 @@ class TestSaveSignalsBlocks:
         assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("shape", [(), (0,), (1, 0), (2, 0), (2, 3, 4)])
+    def test_shapes_refused_as_as_signals_refuses_them(self, tmp_path, fmt, shape):
+        signals = np.zeros(shape, dtype=np.complex128)
+        with pytest.raises(DimensionError) as expected:
+            as_signals(signals)
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(DimensionError) as info:
+            save_signals(str(path), signals, fmt)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value).endswith(f"got shape {shape}")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, rng, fmt):
         # the disk fills after the first write, as a full device would refuse the rest
         def full_disk_open(*args, **kwargs):
@@ -819,6 +834,20 @@ class TestMonomialsCommand:
         assert main(["monomials", "--config", config, "--stdout"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["m"] == 12
+
+    def test_module_entry_point(self, tmp_path, capsys):
+        # python -m orbit_embed.cli runs main and exits with its code
+        config = str(CONFIGS / "z12_c5.json")
+        assert main(["monomials", "--config", config, "--stdout"]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(orbit_embed.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for path, code, out in ((config, 0, expected), (str(tmp_path / "none.json"), 2, "")):
+            done = subprocess.run([sys.executable, "-m", "orbit_embed.cli", "monomials",
+                                   "--config", path, "--stdout"], env=env, cwd=tmp_path,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stdout) == (code, out), done.stderr[-3000:]
 
 
 class TestGroupOrder:

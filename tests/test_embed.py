@@ -318,6 +318,19 @@ class TestOperatorNorm:
         r = make_reducer(36, 17, seed=42)
         assert operator_norm(r) == pytest.approx(svd_operator_norm(r.entries), abs=1e-8)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (5, 3), (300, 66), (2081, 129)])
+    def test_tall_matrix_is_its_transpose(self, rng, shape):
+        # a tall l takes the Gram matrix of its transpose, whose spectrum it shares
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert operator_norm(a) == operator_norm(a.T)
+        assert operator_norm(a) == pytest.approx(svd_operator_norm(a), abs=1e-8)
+
+    def test_eigenvalue_outside_the_bracket_raises(self, monkeypatch):
+        # sigma_max lies in [frob / sqrt(min(k, N)), frob]; frob of eye(3, 4) is sqrt(3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda gram: np.array([4.0]))
+        with pytest.raises(ArithmeticError, match="outside certified bracket"):
+            operator_norm(np.eye(3, 4))
+
     @pytest.mark.parametrize("pipeline", ["minus_identity_pipeline", "z12_pipeline",
                                           "translation_pipeline", "translation-64"])
     def test_keeps_the_bits_of_the_whole_gram_product_on_shipped_reducers(self, pipeline,
